@@ -41,7 +41,7 @@ fn bench_broadcast_fanout(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(2));
     for payload in [64usize, 4 * 1024, 64 * 1024] {
         g.bench_function(format!("broadcast/16way/payload_{payload}B"), |b| {
-            let eps = Fabric::new(17, NetProfile::instant());
+            let eps = Fabric::new(17, NetProfile::instant(), None);
             b.iter_custom(|iters| {
                 let t0 = Instant::now();
                 for _ in 0..iters {

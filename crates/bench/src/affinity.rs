@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use pm2::api::{pm2_rpc_call, pm2_thread_location, pm2_yield};
 use pm2::loadbal::BalancerConfig;
-use pm2::{Machine, MachineMode, NetProfile, Pm2Config};
+use pm2::{Machine, NetProfile};
 use pm2_workload::{register_services, Echo};
 
 /// Members per ring (scattered over min(RING_SIZE, p) distinct nodes).
@@ -70,10 +70,11 @@ pub struct AffinityOutcome {
 }
 
 fn launch(p: usize) -> Machine {
-    let cfg = Pm2Config::new(p)
-        .with_net(NetProfile::myrinet_bip())
-        .with_mode(MachineMode::Threaded)
-        .with_reply_deadline(Duration::from_secs(2));
+    let cfg = Machine::builder(p)
+        .net(NetProfile::myrinet_bip())
+        .threaded()
+        .reply_deadline(Duration::from_secs(2))
+        .into_config();
     let m = Machine::launch(cfg).expect("launch");
     register_services(&m);
     m

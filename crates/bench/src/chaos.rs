@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use pm2::{FaultPlan, Machine, Pm2Config};
+use pm2::{FaultPlan, Machine};
 use pm2_workload::{
     register_services, run_kill_node, run_partition, run_ramp, CapacityReport, ChaosReport,
     PartitionReport, RampConfig, WorkloadSpec,
@@ -85,11 +85,13 @@ pub fn drill_gate() -> RampConfig {
 
 /// Ramp the mixed chaos workload on a p-node machine under `loss`.
 pub fn run_lossy_ramp(nodes: usize, loss: f64) -> CapacityReport {
-    let mut cfg = Pm2Config::test(nodes).with_reply_deadline(Duration::from_secs(5));
+    let mut b = Machine::builder(nodes)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(5));
     if loss > 0.0 {
-        cfg = cfg.with_fault_plan(FaultPlan::lossy(CHAOS_SEED, loss));
+        b = b.fault_plan(FaultPlan::lossy(CHAOS_SEED, loss));
     }
-    let mut m = Machine::launch(cfg).expect("launch");
+    let mut m = b.launch().expect("launch");
     register_services(&m);
     let report = run_ramp(&m, &WorkloadSpec::chaos(), lossy_ramp(), CHAOS_INJECTORS);
     m.shutdown();
@@ -100,12 +102,12 @@ pub fn run_lossy_ramp(nodes: usize, loss: f64) -> CapacityReport {
 /// covers coordinator election.
 pub fn run_kill_drill(nodes: usize) -> ChaosReport {
     let dir = scratch_dir("kill");
-    let mut m = Machine::launch(
-        Pm2Config::test(nodes)
-            .with_reply_deadline(Duration::from_secs(5))
-            .with_spill_dir(&dir),
-    )
-    .expect("launch");
+    let mut m = Machine::builder(nodes)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(5))
+        .spill_dir(&dir)
+        .launch()
+        .expect("launch");
     register_services(&m);
     let rep =
         run_kill_node(&mut m, 0, &drill_gate(), DRILL_RPS, CHAOS_INJECTORS).expect("kill drill");
@@ -117,13 +119,13 @@ pub fn run_kill_drill(nodes: usize) -> ChaosReport {
 /// The partition drill on a p-node machine: halves cut for 300 ms, with
 /// the detector armed but timed well past the window.
 pub fn run_partition_drill(nodes: usize) -> PartitionReport {
-    let mut m = Machine::launch(
-        Pm2Config::test(nodes)
-            .with_reply_deadline(Duration::from_secs(5))
-            .with_failure_timeout(Duration::from_secs(30))
-            .with_heartbeat_every(Duration::from_millis(25)),
-    )
-    .expect("launch");
+    let mut m = Machine::builder(nodes)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(5))
+        .failure_timeout(Duration::from_secs(30))
+        .heartbeat_every(Duration::from_millis(25))
+        .launch()
+        .expect("launch");
     register_services(&m);
     let half = nodes / 2;
     let a: Vec<usize> = (0..half).collect();

@@ -22,9 +22,9 @@
 use std::time::Instant;
 
 use pm2::api::*;
-use pm2::{AreaConfig, Distribution, Machine, NetProfile};
+use pm2::{AreaConfig, Distribution, NetProfile};
 
-use crate::harness::paper_config;
+use crate::harness::paper_builder;
 
 /// Live 2-slot allocations per acquire run.
 pub const ROUNDS: usize = 48;
@@ -60,7 +60,10 @@ pub struct NegRow {
 /// Time `ROUNDS` live 2-slot allocations on node 0; returns the mean µs
 /// per allocation plus node 0's runtime counters.
 fn acquire_run(p: usize, net: NetProfile, trade: bool) -> (f64, pm2::node::NodeStatsSnapshot) {
-    let mut m = Machine::launch(paper_config(p, net).with_slot_trade(trade)).expect("launch");
+    let mut m = paper_builder(p, net)
+        .slot_trade(trade)
+        .launch()
+        .expect("launch");
     let slot = m.area().slot_size();
     let mean_us = m
         .run_on(0, move || {
@@ -84,14 +87,15 @@ fn acquire_run(p: usize, net: NetProfile, trade: bool) -> (f64, pm2::node::NodeS
 /// Drain node 0's partitioned share past the low watermark and report the
 /// prefetch counters.
 fn prefetch_run(p: usize, net: NetProfile) -> pm2::node::NodeStatsSnapshot {
-    let cfg = paper_config(p, net)
-        .with_area(AreaConfig {
+    let mut m = paper_builder(p, net)
+        .area(AreaConfig {
             slot_size: 64 * 1024,
             n_slots: 4096,
         })
-        .with_distribution(Distribution::Partitioned)
-        .with_slot_watermarks(64, 256);
-    let mut m = Machine::launch(cfg).expect("launch");
+        .distribution(Distribution::Partitioned)
+        .slot_watermarks(64, 256)
+        .launch()
+        .expect("launch");
     let slot = m.area().slot_size();
     let share = m.area().n_slots() / p;
     m.run_on(0, move || {

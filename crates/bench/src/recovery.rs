@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pm2::{Machine, Pm2Config};
+use pm2::Machine;
 
 /// One recovery drill's measurements.
 #[derive(Debug, Clone)]
@@ -52,15 +52,15 @@ pub fn recovery_drill(nodes: usize) -> RecoveryRun {
         std::process::id()
     ));
     std::fs::create_dir_all(&dir).expect("scratch spill dir");
-    let mut m = Machine::launch(
-        Pm2Config::test(nodes)
-            .with_reply_deadline(Duration::from_secs(5))
-            .with_spill_dir(&dir)
-            .with_failure_timeout(Duration::from_millis(200))
-            .with_heartbeat_every(Duration::from_millis(25))
-            .with_idle_park(Duration::from_millis(25)),
-    )
-    .expect("launch");
+    let mut m = Machine::builder(nodes)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(5))
+        .spill_dir(&dir)
+        .failure_timeout(Duration::from_millis(200))
+        .heartbeat_every(Duration::from_millis(25))
+        .idle_park(Duration::from_millis(25))
+        .launch()
+        .expect("launch");
     let victim = 1usize;
     let stop = Arc::new(AtomicBool::new(false));
 

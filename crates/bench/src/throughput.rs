@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use pm2::{Machine, MachineMode, NetProfile, Pm2Config};
+use pm2::{Machine, NetProfile};
 use pm2_workload::{register_services, run_ramp, CapacityReport, RampConfig, WorkloadSpec};
 
 /// Injector threads feeding the issuer per round.
@@ -62,10 +62,11 @@ pub fn scenarios() -> Vec<Scenario> {
 
 /// Launch a machine for one scenario and run the ramp to completion.
 pub fn run_scenario(sc: &Scenario, ramp: RampConfig) -> CapacityReport {
-    let cfg = Pm2Config::new(sc.nodes)
-        .with_net(NetProfile::instant())
-        .with_mode(MachineMode::Threaded)
-        .with_reply_deadline(Duration::from_secs(2));
+    let cfg = Machine::builder(sc.nodes)
+        .net(NetProfile::instant())
+        .threaded()
+        .reply_deadline(Duration::from_secs(2))
+        .into_config();
     let mut m = Machine::launch(cfg).expect("launch");
     register_services(&m);
     let report = run_ramp(&m, &sc.spec, ramp, INJECTORS);

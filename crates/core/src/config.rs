@@ -1,9 +1,11 @@
-//! Machine configuration: the raw [`Pm2Config`] record and the fluent
-//! [`MachineBuilder`] over it.
+//! Machine configuration: the plain-data [`Pm2Config`] record and
+//! [`MachineBuilder`], the one fluent surface over it.
 //!
-//! New code should start at [`crate::Machine::builder`]; `Pm2Config` stays
-//! public as the paper-faithful, field-poking layer and for embedders that
-//! persist configurations.
+//! Start at [`crate::Machine::builder`]; [`MachineBuilder::into_config`]
+//! yields the record when a helper needs one.  `Pm2Config` is what
+//! [`crate::Machine::launch`] consumes and [`crate::Machine::config`]
+//! reports — set a field directly for the few test-only hooks the builder
+//! does not expose.
 
 use std::time::Duration;
 
@@ -17,11 +19,11 @@ use crate::machine::Machine;
 /// How node schedulers are driven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MachineMode {
-    /// One OS thread per node (the default; nodes run in parallel like the
-    /// paper's cluster).
+    /// Node drivers multiplexed onto a pool of executor workers (the
+    /// default; nodes run in parallel like the paper's cluster).
     Threaded,
-    /// A single OS thread drives all nodes round-robin.  Fully deterministic
-    /// interleaving; used by tests.
+    /// One executor worker steps one node per dispatch, in strict
+    /// rotation: fully deterministic interleaving; used by tests.
     Deterministic,
 }
 
@@ -83,18 +85,20 @@ pub struct Pm2Config {
     /// can hold the scheduler off without ever letting data traffic
     /// delay control traffic.  Values < 1 are treated as 1.
     pub pump_budget: usize,
-    /// Longest time an idle driver parks on its endpoint doorbell before
-    /// re-checking the world.  This is a liveness backstop, **not** a poll
-    /// period: every send rings the destination's doorbell, so real
-    /// traffic wakes a parked driver immediately and a quiescent machine
-    /// wakes only once per `idle_park`.
+    /// Longest time an idle node goes without a driver step: the executor
+    /// requeues every idle node at least this often (sooner when gossip,
+    /// the failure detector or periodic checkpoints need it).  This is a
+    /// liveness backstop, **not** a poll period: every send rings the
+    /// destination's doorbell, so real traffic wakes a parked driver
+    /// immediately and a quiescent machine wakes only once per
+    /// `idle_park`.
     pub idle_park: Duration,
     /// Worker threads the threaded-mode executor multiplexes the node
-    /// drivers onto.  `0` (the default) sizes the pool automatically:
-    /// `min(available cores, nodes)`.  Deterministic mode ignores it (one
-    /// driver thread by definition).  A p = 256 machine on a laptop runs
-    /// on a handful of workers; nodes are state machines woken by their
-    /// doorbells, not threads.
+    /// drivers onto.  `0` (the default) sizes the pool to the available
+    /// cores (at least 2), capped at `nodes`.  Deterministic mode
+    /// ignores it (one worker by definition).  A p = 256 machine on a
+    /// laptop runs on a handful of workers; nodes are state machines woken
+    /// by their doorbells, not threads.
     pub workers: usize,
     /// Upper bound on threads coalesced into one migration *train* (one
     /// `MIGRATION` wire message).  When a departure is packed, every other
@@ -229,171 +233,6 @@ impl Pm2Config {
             ..Pm2Config::new(nodes)
         }
     }
-
-    /// Builder: set the area geometry.
-    pub fn with_area(mut self, area: AreaConfig) -> Self {
-        self.area = area;
-        self
-    }
-
-    /// Builder: set the slot map strategy.
-    pub fn with_map_strategy(mut self, s: MapStrategy) -> Self {
-        self.map_strategy = s;
-        self
-    }
-
-    /// Builder: set the slot distribution.
-    pub fn with_distribution(mut self, d: Distribution) -> Self {
-        self.distribution = d;
-        self
-    }
-
-    /// Builder: set the wire model.
-    pub fn with_net(mut self, net: NetProfile) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// Builder: set the fit policy.
-    pub fn with_fit(mut self, fit: FitPolicy) -> Self {
-        self.fit = fit;
-        self
-    }
-
-    /// Builder: set the scheduling mode.
-    pub fn with_mode(mut self, mode: MachineMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Builder: set the slot cache capacity.
-    pub fn with_slot_cache(mut self, cap: usize) -> Self {
-        self.slot_cache = cap;
-        self
-    }
-
-    /// Builder: echo output lines to stdout.
-    pub fn with_echo(mut self, echo: bool) -> Self {
-        self.echo_output = echo;
-        self
-    }
-
-    /// Builder: pack whole slots on migration (ablation A6).
-    pub fn with_pack_full(mut self, full: bool) -> Self {
-        self.pack_full_slots = full;
-        self
-    }
-
-    /// Builder: migration scheme (ablation A5).
-    pub fn with_scheme(mut self, scheme: MigrationScheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Builder: protocol reply deadline.
-    pub fn with_reply_deadline(mut self, deadline: Duration) -> Self {
-        self.reply_deadline = deadline;
-        self
-    }
-
-    /// Builder: typed-LRPC payload ceiling.
-    pub fn with_max_rpc_payload(mut self, bytes: usize) -> Self {
-        self.max_rpc_payload = bytes;
-        self
-    }
-
-    /// Builder: per-pump message budget.
-    pub fn with_pump_budget(mut self, budget: usize) -> Self {
-        self.pump_budget = budget;
-        self
-    }
-
-    /// Builder: idle-park backstop duration.
-    pub fn with_idle_park(mut self, park: Duration) -> Self {
-        self.idle_park = park;
-        self
-    }
-
-    /// Builder: executor worker-pool size (0 = auto-size to the host).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Builder: migration-train size cap (1 disables coalescing).
-    pub fn with_max_train(mut self, max: usize) -> Self {
-        self.max_train = max;
-        self
-    }
-
-    /// Builder: trade-first remote slot acquisition on/off (`false`
-    /// forces the §4.4 global negotiation on every shortfall).
-    pub fn with_slot_trade(mut self, on: bool) -> Self {
-        self.slot_trade = on;
-        self
-    }
-
-    /// Builder: reserve low/high watermarks (prefetch trigger and target).
-    pub fn with_slot_watermarks(mut self, low: usize, high: usize) -> Self {
-        self.slot_low_watermark = low;
-        self.slot_high_watermark = high;
-        self
-    }
-
-    /// Builder: demand-trade batch size.
-    pub fn with_trade_batch(mut self, batch: usize) -> Self {
-        self.trade_batch = batch;
-        self
-    }
-
-    /// Builder: spill-log directory (enables checkpointing).
-    pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Builder: periodic checkpoint interval.
-    pub fn with_checkpoint_every(mut self, every: Duration) -> Self {
-        self.checkpoint_every = Some(every);
-        self
-    }
-
-    /// Builder: arm the failure detector with a silence threshold.
-    pub fn with_failure_timeout(mut self, timeout: Duration) -> Self {
-        self.failure_timeout = Some(timeout);
-        self
-    }
-
-    /// Builder: heartbeat beacon period (detector armed only).
-    pub fn with_heartbeat_every(mut self, every: Duration) -> Self {
-        self.heartbeat_every = every;
-        self
-    }
-
-    /// Builder: total attempts for at-least-once control requests.
-    pub fn with_control_retries(mut self, attempts: u32) -> Self {
-        self.control_retries = attempts;
-        self
-    }
-
-    /// Builder: spill-log compaction threshold (0 disables).
-    pub fn with_spill_compact_after(mut self, records: usize) -> Self {
-        self.spill_compact_after = records;
-        self
-    }
-
-    /// Builder: install a seeded fault plan on the fabric (chaos).
-    pub fn with_fault_plan(mut self, plan: madeleine::FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Builder: pack-corruption fault hook (tests only).
-    #[doc(hidden)]
-    pub fn with_fault_corrupt_pack(mut self, tids: Vec<u64>) -> Self {
-        self.fault_corrupt_pack = tids;
-        self
-    }
 }
 
 /// Fluent machine construction — the v1 facade's front door.
@@ -408,7 +247,7 @@ impl Pm2Config {
 ///     .unwrap();
 /// ```
 ///
-/// Every knob of [`Pm2Config`] is reachable; unset knobs keep the
+/// Every public knob of [`Pm2Config`] is reachable; unset knobs keep the
 /// paper-faithful defaults of [`Pm2Config::new`].  [`MachineBuilder::launch`]
 /// consumes the builder and starts the node drivers.
 #[derive(Debug, Clone)]
@@ -425,15 +264,15 @@ impl MachineBuilder {
         }
     }
 
-    /// Drive all nodes round-robin on one OS thread (fully deterministic
-    /// interleaving; what tests want).
+    /// Step the nodes in strict rotation on one executor worker (fully
+    /// deterministic interleaving; what tests want).
     pub fn deterministic(mut self) -> Self {
         self.cfg.mode = MachineMode::Deterministic;
         self
     }
 
-    /// One OS thread per node (the default; nodes run in parallel like the
-    /// paper's cluster).
+    /// Multiplex the nodes onto a pool of executor workers (the default;
+    /// nodes run in parallel like the paper's cluster).
     pub fn threaded(mut self) -> Self {
         self.cfg.mode = MachineMode::Threaded;
         self
@@ -519,15 +358,15 @@ impl MachineBuilder {
         self
     }
 
-    /// Longest doorbell park of an idle driver — a liveness backstop, not
-    /// a poll period (see [`Pm2Config::idle_park`]).
+    /// Longest time an idle node goes without a driver step — a liveness
+    /// backstop, not a poll period (see [`Pm2Config::idle_park`]).
     pub fn idle_park(mut self, park: Duration) -> Self {
         self.cfg.idle_park = park;
         self
     }
 
     /// Executor worker-pool size for threaded mode; 0 auto-sizes to
-    /// `min(cores, nodes)` (see [`Pm2Config::workers`]).
+    /// the available cores, capped at `nodes` (see [`Pm2Config::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
         self
@@ -651,18 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn builders_compose() {
-        let c = Pm2Config::test(2)
-            .with_distribution(Distribution::BlockCyclic(8))
-            .with_slot_cache(4)
-            .with_fit(FitPolicy::BestFit);
-        assert_eq!(c.distribution, Distribution::BlockCyclic(8));
-        assert_eq!(c.slot_cache, 4);
-        assert_eq!(c.fit, FitPolicy::BestFit);
-        assert_eq!(c.mode, MachineMode::Deterministic);
-    }
-
-    #[test]
     fn machine_builder_roundtrips_to_config() {
         let c = MachineBuilder::new(3)
             .deterministic()
@@ -695,7 +522,6 @@ mod tests {
         assert_eq!(c.workers, 3);
         let d = Pm2Config::new(8);
         assert_eq!(d.workers, 0, "auto-sized pool is the default");
-        assert_eq!(Pm2Config::new(8).with_workers(2).workers, 2);
     }
 
     #[test]
@@ -712,11 +538,6 @@ mod tests {
         let d = Pm2Config::new(2);
         assert!(d.slot_trade, "trade-first is the default");
         assert!(d.slot_low_watermark <= d.slot_high_watermark);
-        let e = Pm2Config::test(2)
-            .with_slot_trade(false)
-            .with_trade_batch(7);
-        assert!(!e.slot_trade);
-        assert_eq!(e.trade_batch, 7);
     }
 
     #[test]
@@ -746,7 +567,7 @@ mod tests {
         let c = MachineBuilder::new(4)
             .control_retries(5)
             .spill_compact_after(128)
-            .fault_plan(plan.clone())
+            .fault_plan(plan)
             .into_config();
         assert_eq!(c.control_retries, 5);
         assert_eq!(c.spill_compact_after, 128);
@@ -755,13 +576,6 @@ mod tests {
         assert_eq!(d.control_retries, 3, "a few retries by default");
         assert_eq!(d.spill_compact_after, 0, "compaction is opt-in");
         assert!(d.fault_plan.is_none(), "perfect wire by default");
-        let e = Pm2Config::test(2)
-            .with_control_retries(1)
-            .with_spill_compact_after(9)
-            .with_fault_plan(plan);
-        assert_eq!(e.control_retries, 1);
-        assert_eq!(e.spill_compact_after, 9);
-        assert!(e.fault_plan.is_some());
     }
 
     #[test]

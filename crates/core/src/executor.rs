@@ -1,10 +1,10 @@
-//! The multiplexed node executor: M node drivers on N worker threads.
+//! The node executor: M node drivers on N worker threads.
 //!
 //! Thread-per-node stops scaling long before the paper-sized p = 256: the
 //! OS pays a stack and a scheduler entity per node, and a mostly-idle
 //! machine still wakes hundreds of threads to do nothing.  This executor
-//! keeps the *driver loop* of `drive_one` but turns each node into a state
-//! machine scheduled onto a fixed worker pool:
+//! turns each node into a state machine scheduled onto a fixed worker
+//! pool:
 //!
 //! ```text
 //!            ring (doorbell listener)          pop + CAS
@@ -18,24 +18,27 @@
 //!   ([`madeleine::Doorbell::set_listener`]) that moves the node
 //!   `Idle → Queued` and pushes it on the shared ready queue.  Because a
 //!   sender enqueues its message *before* ringing, a node observed `Idle`
-//!   by the listener has the message already visible to its next pump —
-//!   the same no-lost-wakeup argument as the parked-thread protocol.
+//!   by the listener has the message already visible to its next pump.
 //! * A ring landing while the node runs flips it `Running → Notified`;
 //!   the worker's park attempt (`Running → Idle`) then fails and requeues
 //!   instead — the wakeup is deferred, never dropped.
-//! * **Fairness budget**: a worker steps one node at most [`FAIRNESS`]
-//!   times per dispatch, then swaps it to the *tail* of the queue.  One
-//!   flooded node therefore costs every quiet node at most one budget's
-//!   worth of latency per lap, instead of starving them outright.
+//! * **Step budget**: a worker steps one node at most `budget` times per
+//!   dispatch, then swaps it to the *tail* of the queue.  Threaded
+//!   machines use [`FAIRNESS`], so one flooded node costs every quiet node
+//!   at most one budget's worth of latency per lap instead of starving
+//!   them outright.
 //! * **Tick sweep**: protocol timers (failure detector, gossip rounds,
 //!   periodic checkpoints, the `idle_park` liveness backstop) must fire on
-//!   nodes nobody sends to.  Workers pop with a timeout; on timeout one of
-//!   them (rate-limited) requeues every `Idle` node, which is exactly the
-//!   park-timeout semantics `drive_one` had — counted as a
-//!   `driver_wakeups` tick, like a timed-out park.
+//!   nodes nobody sends to.  After every dispatch, and whenever a pop
+//!   times out, a worker checks an atomic sweep deadline; the one that
+//!   claims it requeues every `Idle` node — counted as a `driver_wakeups`
+//!   tick.  Checking after dispatches, not just on empty-queue timeouts,
+//!   keeps a busy node from starving every idle node's timers.
 //!
-//! Deterministic mode is untouched: it still round-robins every node on
-//! one OS thread with the machine-wide shared doorbell.
+//! **Deterministic mode** is the same executor with one worker and a
+//! one-step budget: the FIFO ready queue then steps the runnable nodes in
+//! strict rotation on one OS thread, so identical programs produce
+//! identical interleavings.
 //!
 //! `NodeCtx` stays single-driver: the state machine guarantees a node is
 //! `Running` on at most one worker, and the per-node mutex (uncontended in
@@ -45,7 +48,7 @@
 //! dispatch, and marcel caches nothing across context switches.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -58,11 +61,11 @@ const RUNNING: u8 = 2;
 const NOTIFIED: u8 = 3;
 const DONE: u8 = 4;
 
-/// Driver steps one dispatch may spend on a single node before it goes to
-/// the back of the ready queue.  Each step already bounds its message work
-/// by `pump_budget`, so one dispatch is at most `FAIRNESS × pump_budget`
-/// messages plus `FAIRNESS` thread quanta.
-const FAIRNESS: usize = 32;
+/// Threaded-mode step budget: driver steps one dispatch may spend on a
+/// single node before it goes to the back of the ready queue.  Each step
+/// already bounds its message work by `pump_budget`, so one dispatch is at
+/// most `FAIRNESS × pump_budget` messages plus `FAIRNESS` thread quanta.
+pub(crate) const FAIRNESS: usize = 32;
 
 struct Inner {
     /// One slot per node.  The mutex is uncontended by construction (the
@@ -77,11 +80,16 @@ struct Inner {
     cv: Condvar,
     /// Nodes not yet `Done`; at zero the pool drains and exits.
     live: AtomicUsize,
-    /// Worker pop timeout and sweep cadence — the executor twin of the
-    /// `idle_park` backstop, tightened to the fastest armed protocol timer.
+    /// Most driver steps per dispatch.
+    budget: usize,
+    /// Sweep cadence — the `idle_park` backstop, tightened to the fastest
+    /// armed protocol timer.
     tick_every: Duration,
-    /// Next allowed tick sweep (rate limit: one sweeper per period).
-    next_tick: Mutex<Instant>,
+    /// Origin of `next_tick`.
+    epoch: Instant,
+    /// Next due tick sweep, in ns since `epoch`.  Atomic so the check after
+    /// every dispatch takes no lock; a CAS elects one sweeper per period.
+    next_tick: AtomicU64,
 }
 
 impl Inner {
@@ -123,18 +131,29 @@ impl Inner {
         }
     }
 
-    /// Timer backstop: requeue every idle node so its protocol timers
-    /// (detector scan, gossip round, periodic checkpoint) get a step, just
-    /// as a park timeout would have stepped it under thread-per-node.
-    /// Rate-limited so a large pool doesn't multiply the sweeps.
+    /// Time left until the next tick sweep is due.
+    fn until_tick(&self) -> Duration {
+        let now = self.epoch.elapsed().as_nanos() as u64;
+        Duration::from_nanos(self.next_tick.load(Ordering::Relaxed).saturating_sub(now))
+    }
+
+    /// Timer backstop: once per `tick_every`, requeue every idle node so
+    /// its protocol timers (detector scan, gossip round, periodic
+    /// checkpoint) get a step.  Cheap when not due (one clock read, one
+    /// load); the CAS makes exactly one worker sweep each period.
     fn tick_sweep(&self) {
+        let now = self.epoch.elapsed().as_nanos() as u64;
+        let next = self.next_tick.load(Ordering::Relaxed);
+        if now < next {
+            return;
+        }
+        let due = now + self.tick_every.as_nanos() as u64;
+        if self
+            .next_tick
+            .compare_exchange(next, due, Ordering::Relaxed, Ordering::Relaxed)
+            .is_err()
         {
-            let mut next = self.next_tick.lock().unwrap();
-            let now = Instant::now();
-            if now < *next {
-                return;
-            }
-            *next = now + self.tick_every;
+            return;
         }
         for id in 0..self.states.len() {
             if self.states[id]
@@ -149,7 +168,7 @@ impl Inner {
         }
     }
 
-    /// One dispatch: run `id` for up to the fairness budget, then park,
+    /// One dispatch: run `id` for up to the step budget, then park,
     /// requeue, or retire it.
     fn run_node(self: &Arc<Inner>, id: usize) {
         if self.states[id]
@@ -163,7 +182,7 @@ impl Inner {
         let mut ctx = self.nodes[id].lock().unwrap();
         ctx.activate();
         let mut worked = false;
-        for _ in 0..FAIRNESS {
+        for _ in 0..self.budget {
             worked = ctx.step();
             if !worked {
                 break;
@@ -217,31 +236,34 @@ impl Inner {
                     if let Some(id) = q.pop_front() {
                         break Some(id);
                     }
-                    let (guard, timeout) = self.cv.wait_timeout(q, self.tick_every).unwrap();
-                    q = guard;
-                    if timeout.timed_out() {
+                    let wait = self.until_tick();
+                    if wait.is_zero() {
                         break None;
                     }
+                    q = self.cv.wait_timeout(q, wait).unwrap().0;
                 }
             };
-            match popped {
-                Some(id) => self.run_node(id),
-                None => self.tick_sweep(),
+            if let Some(id) = popped {
+                self.run_node(id);
             }
+            self.tick_sweep();
         }
     }
 }
 
-/// Launch the worker pool for a threaded-mode machine.  Installs a
-/// doorbell listener per node, seeds the ready queue with every node (so
-/// initial timers and any pre-launch traffic get a first step), and spawns
-/// `workers` OS threads.  The pool owns the node contexts; joining the
-/// returned handles (after the last node retires) drops them.
+/// Launch the worker pool.  Installs a doorbell listener per node, seeds
+/// the ready queue with every node (so initial timers and any pre-launch
+/// traffic get a first step), and spawns `workers` OS threads that step a
+/// node at most `budget` times per dispatch.  The pool owns the node
+/// contexts; joining the returned handles (after the last node retires)
+/// drops them.  The returned counter is the number of workers still
+/// running: each decrements it as its last act.
 pub(crate) fn spawn_pool(
     ctxs: Vec<NodeCtx>,
     workers: usize,
+    budget: usize,
     tick_every: Duration,
-) -> Vec<std::thread::JoinHandle<()>> {
+) -> (Vec<std::thread::JoinHandle<()>>, Arc<AtomicUsize>) {
     let n = ctxs.len();
     let stats = ctxs.iter().map(|c| Arc::clone(&c.stats)).collect();
     let bells: Vec<madeleine::Doorbell> = ctxs.iter().map(|c| c.ep.doorbell().clone()).collect();
@@ -252,8 +274,10 @@ pub(crate) fn spawn_pool(
         ready: Mutex::new((0..n).collect()),
         cv: Condvar::new(),
         live: AtomicUsize::new(n),
+        budget: budget.max(1),
         tick_every,
-        next_tick: Mutex::new(Instant::now() + tick_every),
+        epoch: Instant::now(),
+        next_tick: AtomicU64::new(tick_every.as_nanos() as u64),
     });
     // Listeners hold a Weak: the bells live inside the fabric the nodes
     // themselves own, so a strong reference would be a cycle that leaks
@@ -266,13 +290,23 @@ pub(crate) fn spawn_pool(
             }
         }));
     }
-    (0..workers.max(1))
+    let workers = workers.max(1);
+    let running = Arc::new(AtomicUsize::new(workers));
+    let handles = (0..workers)
         .map(|i| {
             let inner = Arc::clone(&inner);
+            let running = Arc::clone(&running);
             std::thread::Builder::new()
                 .name(format!("pm2-worker{i}"))
-                .spawn(move || inner.worker_loop())
+                .spawn(move || {
+                    inner.worker_loop();
+                    // Drop the pool (and with the last worker, every node)
+                    // before reporting this worker gone.
+                    drop(inner);
+                    running.fetch_sub(1, Ordering::SeqCst);
+                })
                 .expect("spawning executor worker")
         })
-        .collect()
+        .collect();
+    (handles, running)
 }

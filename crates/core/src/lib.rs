@@ -68,11 +68,11 @@
 //! burn ~zero CPU and hop latency is hardware-bound, not poll-bound:
 //!
 //! * every `madeleine` send rings the destination endpoint's **doorbell**
-//!   ([`madeleine::Doorbell`]); idle node drivers *park* on it (threaded
-//!   mode: one bell per node; deterministic mode: one shared bell for the
-//!   single round-robin driver) and wake at futex latency — the polled
-//!   baseline paid ~1 ms of driver latency per migration hop where the
-//!   event-driven core pays a few µs (see `BENCH_latency.json`);
+//!   ([`madeleine::Doorbell`]), whose listener queues the node on the
+//!   executor; idle node drivers *park* until then and wake at futex
+//!   latency — the polled baseline paid ~1 ms of driver latency per
+//!   migration hop where the event-driven core pays a few µs (see
+//!   `BENCH_latency.json`);
 //! * each node's pump ingests messages into three **priority lanes**
 //!   (control > migration > data) and drains them in class order under a
 //!   budget, so a flood of application traffic can never delay SHUTDOWN
@@ -221,9 +221,10 @@
 //! fairness budget of 32 driver steps per dispatch — one flooded node
 //! cannot starve the other 255 (`tests/scale.rs` pins this).  A
 //! quiescent machine parks the whole pool on a condvar; a periodic tick
-//! requeues nodes only when gossip, detector or checkpoint work is
-//! actually due.  Deterministic mode is untouched: same dispatch core,
-//! single-stepped round-robin, no pool.
+//! requeues idle nodes only when gossip, detector or checkpoint work is
+//! due, checked after every dispatch so a busy node cannot starve idle
+//! nodes' timers.  Deterministic mode is the same executor with one
+//! worker and a one-step budget: strict rotation on one OS thread.
 //!
 //! Multiplexing the drivers is only half of scaling p; the protocols
 //! must also shed their O(p)-per-node costs ([`node`]'s module header

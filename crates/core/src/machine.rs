@@ -2,10 +2,10 @@
 //!
 //! [`Machine::launch`] reserves the iso-address area, wires the Madeleine
 //! fabric (one endpoint per node plus a host control endpoint), and starts
-//! the node drivers — a worker pool multiplexing every node driver in
-//! threaded mode (see [`crate::executor`]), or a single OS thread driving
-//! every node round-robin in deterministic mode.  The host talks to nodes
-//! exclusively through control messages, like any other fabric participant.
+//! the node drivers on the executor (see [`crate::executor`]): a worker
+//! pool in threaded mode, one single-stepping worker in deterministic
+//! mode.  The host talks to nodes exclusively through control messages,
+//! like any other fabric participant.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,6 +133,8 @@ pub struct Machine {
     /// OS threads actually driving nodes (executor workers in threaded
     /// mode, 1 in deterministic mode).
     n_workers: usize,
+    /// Executor workers still running (0 once shutdown has joined them).
+    running_workers: Arc<std::sync::atomic::AtomicUsize>,
     next_tid: AtomicU64,
     stopped: bool,
     /// Control messages received while waiting for something else.
@@ -185,11 +187,6 @@ impl Machine {
     pub fn launch(cfg: Pm2Config) -> Result<Machine> {
         assert!(cfg.nodes >= 1, "a machine needs at least one node");
         let area = Arc::new(IsoArea::with_strategy(cfg.area, cfg.map_strategy)?);
-        // Threaded mode: one doorbell per endpoint, each driver parks on
-        // its own.  Deterministic mode: one shared doorbell, so the single
-        // round-robin driver parks once for the whole fabric and any send
-        // (including the host's) wakes it.
-        //
         // A configured fault plan gets the exactly-once state-transfer
         // tags stamped protected before it reaches the fabric: trains,
         // spawns, exits and the §4.4 lock/bitmap/buy messages move state
@@ -200,16 +197,7 @@ impl Machine {
             .fault_plan
             .clone()
             .map(|p| p.protect_tags(EXACTLY_ONCE_TAGS));
-        let mut eps = match (cfg.mode, plan) {
-            (MachineMode::Threaded, None) => Fabric::new(cfg.nodes + 1, cfg.net),
-            (MachineMode::Threaded, Some(p)) => Fabric::new_chaotic(cfg.nodes + 1, cfg.net, p),
-            (MachineMode::Deterministic, None) => {
-                Fabric::new_shared_doorbell(cfg.nodes + 1, cfg.net)
-            }
-            (MachineMode::Deterministic, Some(p)) => {
-                Fabric::new_shared_doorbell_chaotic(cfg.nodes + 1, cfg.net, p)
-            }
-        };
+        let mut eps = Fabric::new(cfg.nodes + 1, cfg.net, plan);
         let host_ep = eps.pop().expect("host endpoint");
         let out = OutputSink::new(cfg.echo_output);
         let registry = Registry::new_shared();
@@ -217,7 +205,7 @@ impl Machine {
         let services = ServiceTable::new_shared();
         let typed_services = TypedServiceTable::new_shared();
 
-        let mut ctxs: Vec<NodeCtx> = eps
+        let ctxs: Vec<NodeCtx> = eps
             .into_iter()
             .map(|ep| {
                 NodeCtx::new(
@@ -239,20 +227,14 @@ impl Machine {
         let affinity = ctxs.iter().map(|c| Arc::clone(&c.affinity)).collect();
         let pools = ctxs.iter().map(|c| c.pool.clone()).collect();
 
-        let (drivers, n_workers) = match cfg.mode {
-            MachineMode::Threaded => {
-                let workers = effective_workers(&cfg);
-                let tick = executor_tick(&cfg);
-                (crate::executor::spawn_pool(ctxs, workers, tick), workers)
-            }
-            MachineMode::Deterministic => (
-                vec![std::thread::Builder::new()
-                    .name("pm2-nodes".into())
-                    .spawn(move || drive_all(&mut ctxs))
-                    .expect("spawning driver thread")],
-                1,
-            ),
+        // Deterministic mode: one worker stepping one node per dispatch,
+        // so the FIFO ready queue rotates the runnable nodes strictly.
+        let (n_workers, budget) = match cfg.mode {
+            MachineMode::Threaded => (effective_workers(&cfg), crate::executor::FAIRNESS),
+            MachineMode::Deterministic => (1, 1),
         };
+        let (drivers, running_workers) =
+            crate::executor::spawn_pool(ctxs, n_workers, budget, executor_tick(&cfg));
 
         Ok(Machine {
             cfg,
@@ -270,6 +252,7 @@ impl Machine {
             pools,
             drivers,
             n_workers,
+            running_workers,
             next_tid: AtomicU64::new(1),
             stopped: false,
             stash: Vec::new(),
@@ -292,6 +275,12 @@ impl Machine {
     /// point of the multiplexed executor.
     pub fn worker_threads(&self) -> usize {
         self.n_workers
+    }
+
+    /// Executor workers of this machine still running: `worker_threads`
+    /// until shutdown, and 0 once [`Machine::shutdown`] has joined them.
+    pub fn running_workers(&self) -> usize {
+        self.running_workers.load(Ordering::SeqCst)
     }
 
     /// The iso-address area (shared by all nodes).
@@ -1075,11 +1064,10 @@ fn effective_workers(cfg: &Pm2Config) -> usize {
     w.clamp(1, cfg.nodes.max(1))
 }
 
-/// Executor tick (worker pop timeout / idle-node sweep cadence): the
-/// `idle_park` backstop, tightened to the fastest armed protocol timer so
-/// a quiet node's failure detector, gossip rounds and periodic
-/// checkpoints still fire on schedule — the multiplexed twin of
-/// `drive_one`'s park timeout.
+/// Executor tick (idle-node sweep cadence): the `idle_park` backstop,
+/// tightened to the fastest armed protocol timer so a quiet node's failure
+/// detector, gossip rounds and periodic checkpoints still fire on
+/// schedule.
 fn executor_tick(cfg: &Pm2Config) -> Duration {
     let mut tick = cfg.idle_park;
     if cfg.failure_timeout.is_some() || cfg.nodes > crate::node::FULL_PROBE_MAX {
@@ -1091,40 +1079,4 @@ fn executor_tick(cfg: &Pm2Config) -> Duration {
         }
     }
     tick.max(Duration::from_millis(1))
-}
-
-/// Deterministic-mode driver: all nodes round-robin on one OS thread,
-/// parking on the machine's **shared** doorbell when no node has work.
-/// The ring-counter snapshot is taken *before* the sweep, so any send that
-/// lands mid-sweep (from the host or a node) makes the park return
-/// immediately — and the final SHUTDOWN_ACK needs no park at all: the
-/// sweep that handles SHUTDOWN also observes `finished()` and exits
-/// without another wait.
-fn drive_all(ctxs: &mut [NodeCtx]) {
-    let bell = ctxs[0].ep.doorbell().clone();
-    let idle_park = ctxs[0].idle_park;
-    loop {
-        let seen = bell.rings();
-        let mut any = false;
-        for ctx in ctxs.iter_mut() {
-            any |= ctx.step();
-            ctx.maybe_ack_shutdown();
-        }
-        if ctxs.iter().all(|c| c.finished()) {
-            break;
-        }
-        if !any {
-            for ctx in ctxs.iter_mut() {
-                ctx.stats
-                    .driver_parks
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            bell.wait_past(seen, idle_park);
-            for ctx in ctxs.iter_mut() {
-                ctx.stats
-                    .driver_wakeups
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-    }
 }

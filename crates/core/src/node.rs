@@ -3,13 +3,14 @@
 //! One `NodeCtx` is the reproduction of the paper's "single (heavy) process
 //! running at each node" (§2): it owns the node's slot bitmap, its thread
 //! scheduler, its private heap and its network endpoint.  Exactly one OS
-//! thread drives it *at a time* — in threaded mode the node is a state
-//! machine multiplexed onto the [`crate::executor`] worker pool (a rung
-//! doorbell queues the node; a worker locks it, steps it up to a fairness
-//! budget, and parks it again), and in deterministic mode one OS thread
-//! drives every node round-robin.  Either way Marcel threads and the
-//! message pump interleave but never run concurrently, which is exactly
-//! the concurrency model of a user-level thread runtime.
+//! thread drives it *at a time*: the node is a state machine multiplexed
+//! onto the [`crate::executor`] worker pool (a rung doorbell queues the
+//! node; a worker locks it, steps it up to a step budget, and parks it
+//! again) — a pool with a fairness budget in threaded mode, one worker
+//! stepping one node per dispatch in deterministic mode.  Either way
+//! Marcel threads and the message pump interleave but never run
+//! concurrently, which is exactly the concurrency model of a user-level
+//! thread runtime.
 //!
 //! ## The event-driven core
 //!
@@ -17,12 +18,11 @@
 //!
 //! * **Doorbell** — every [`madeleine::Endpoint::send`] rings the
 //!   destination's [`madeleine::Doorbell`]; an idle driver *parks* (the
-//!   executor marks the node `Idle` and the worker moves on; the
-//!   deterministic driver parks the OS thread) instead of spin- or
-//!   sleep-polling, so a quiescent machine burns ~zero CPU and a message
-//!   wakes its handler at futex-wake-up latency.  The
+//!   executor marks the node `Idle` and the worker moves on) instead of
+//!   spin- or sleep-polling, so a quiescent machine burns ~zero CPU and a
+//!   message wakes its handler at futex-wake-up latency.  The
 //!   [`NodeStats::driver_parks`]/[`NodeStats::driver_wakeups`] counters
-//!   make the parking observable in both modes.
+//!   make the parking observable.
 //! * **Class-prioritized pump** — [`NodeCtx::pump`] ingests deliverable
 //!   messages into three priority lanes (see [`crate::handlers::Class`]:
 //!   control > migration > data) and drains them in class order under a
@@ -520,9 +520,6 @@ pub(crate) struct NodeCtx {
     /// Most messages one `pump()` call handles before yielding back to the
     /// scheduler (the `pump_budget` knob).
     pub pump_budget: usize,
-    /// Longest doorbell park before an idle driver re-checks the world
-    /// (the `idle_park` knob — a liveness backstop, not a poll period).
-    pub idle_park: Duration,
     /// Upper bound on threads per migration train (the `max_train` knob;
     /// 1 disables departure coalescing entirely).
     pub max_train: usize,
@@ -575,8 +572,9 @@ pub(crate) fn instrument_body(
 pub(crate) fn with_ctx<R>(f: impl FnOnce(&mut NodeCtx) -> R) -> R {
     let p = CURRENT_NODE.with(|c| c.get());
     assert!(!p.is_null(), "pm2 API called outside a PM2 machine");
-    // SAFETY: single OS thread per node; the pump never runs while a Marcel
-    // thread runs, so this exclusive access cannot overlap another.
+    // SAFETY: one OS thread drives a node at a time; the pump never runs
+    // while a Marcel thread runs, so this exclusive access cannot overlap
+    // another.
     unsafe { f(&mut *p) }
 }
 
@@ -678,7 +676,6 @@ impl NodeCtx {
             reply_deadline: cfg.reply_deadline,
             max_rpc_payload: cfg.max_rpc_payload,
             pump_budget: cfg.pump_budget.max(1),
-            idle_park: cfg.idle_park,
             max_train: cfg.max_train.max(1),
             slot_trade: cfg.slot_trade,
             low_watermark: cfg.slot_low_watermark,
@@ -831,8 +828,15 @@ impl NodeCtx {
             return;
         }
         let now = Instant::now();
-        if now.duration_since(self.last_gossip) >= self.heartbeat_every {
-            self.last_gossip = now;
+        let since = now.duration_since(self.last_gossip);
+        if since >= self.heartbeat_every {
+            // Keep rounds on the heartbeat grid: a tick landing a little
+            // late must not push every later round back with it.
+            self.last_gossip = if since < 2 * self.heartbeat_every {
+                self.last_gossip + self.heartbeat_every
+            } else {
+                now
+            };
             self.gossip_round();
         }
         if detector {

@@ -2,7 +2,7 @@
 //! workspace-level `tests/` directory).
 
 use crate::api::*;
-use crate::{Machine, MachineMode, Pm2Config};
+use crate::{Machine, Pm2Config};
 
 fn test_machine(nodes: usize) -> Machine {
     Machine::launch(Pm2Config::test(nodes)).unwrap()
@@ -18,7 +18,11 @@ fn launch_and_shutdown_empty() {
 
 #[test]
 fn threaded_mode_launch_and_shutdown() {
-    let mut m = Machine::launch(Pm2Config::test(3).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     let v = m.run_on(2, pm2_self).unwrap();
     assert_eq!(v, 2);
     m.shutdown();
@@ -95,7 +99,11 @@ fn printf_is_captured_with_node_prefix() {
 fn negotiation_supplies_multislot_allocation() {
     // Round-robin, 2 nodes, trading disabled: any multi-slot allocation
     // must run the paper's §4.4 global negotiation.
-    let mut m = Machine::launch(Pm2Config::test(2).with_slot_trade(false)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .slot_trade(false)
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     m.run_on(0, move || {
         let p = pm2_isomalloc(3 * slot).unwrap();
@@ -189,9 +197,12 @@ fn audit_passes_on_idle_machine() {
 /// the harness for white-box pump tests below.
 fn bare_node(pump_budget: usize) -> (crate::node::NodeCtx, madeleine::Endpoint) {
     use std::sync::Arc;
-    let cfg = Pm2Config::test(2).with_pump_budget(pump_budget);
+    let cfg = Machine::builder(2)
+        .test_profile()
+        .pump_budget(pump_budget)
+        .into_config();
     let area = Arc::new(isoaddr::IsoArea::with_strategy(cfg.area, cfg.map_strategy).unwrap());
-    let mut eps = madeleine::Fabric::new(3, madeleine::NetProfile::instant());
+    let mut eps = madeleine::Fabric::new(3, madeleine::NetProfile::instant(), None);
     let host = eps.pop().unwrap();
     let _ep1 = eps.pop().unwrap();
     let ep0 = eps.pop().unwrap();

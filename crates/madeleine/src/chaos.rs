@@ -69,7 +69,7 @@ struct PartitionWindow {
 
 /// A seeded per-link fault schedule.  Build one with [`FaultPlan::new`]
 /// (or the [`FaultPlan::lossy`] preset), tune it with the `with_*`
-/// knobs, and hand it to `Fabric::new_chaotic`.
+/// knobs, and hand it to `Fabric::new`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,

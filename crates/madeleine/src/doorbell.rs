@@ -1,171 +1,69 @@
 //! The endpoint doorbell: the event that makes drivers event-driven.
 //!
-//! A [`Doorbell`] is a tiny eventcount (a ring counter behind a mutex plus
-//! a condvar).  Every [`Endpoint::send`](crate::Endpoint::send) *rings* the
-//! destination endpoint's doorbell after the message is enqueued, so an
-//! idle driver can **park** on the doorbell instead of spin- or
-//! sleep-polling its inbox — the difference between a node burning a whole
-//! OS timeslice per poll (≈1 ms of migration latency on a busy host) and a
-//! futex wake-up (a few µs).
+//! Every [`Endpoint::send`](crate::Endpoint::send) *rings* the destination
+//! endpoint's [`Doorbell`] after the message is enqueued.  A ring invokes
+//! the bell's listener, if one is installed: an embedder's scheduler
+//! (PM2's node executor) routes it into its ready queue, so an idle
+//! driver is woken by traffic instead of spin- or sleep-polling its inbox
+//! — the difference between a node burning a whole OS timeslice per poll
+//! (≈1 ms of migration latency on a busy host) and a futex wake-up (a few
+//! µs).
 //!
-//! ## The missed-wakeup protocol
-//!
-//! Waiting is two-phase so a ring can never be lost between "I found no
-//! work" and "I went to sleep":
-//!
-//! ```text
-//! let seen = db.rings();          // 1. snapshot the counter
-//! if try_recv() is Some { … }     // 2. re-check for work
-//! db.wait_past(seen, timeout);    // 3. park; returns at once if a ring
-//!                                 //    landed after step 1
-//! ```
-//!
-//! Because a sender enqueues the message *before* ringing, any message that
-//! arrives after step 2 necessarily rings after step 1's snapshot, so
-//! `wait_past` observes `rings() != seen` and returns immediately.
-//!
-//! One doorbell may cover many endpoints: deterministic-mode machines wire
-//! every node's endpoint to a single shared doorbell
-//! ([`crate::Fabric::new_shared_doorbell`]), so the one driver thread parks
-//! once for the whole fabric.
+//! Because a sender enqueues the message *before* ringing, a listener that
+//! schedules the receiving driver can never lose a wakeup: the driver's
+//! next receive observes the message.  Threads that want to block on an
+//! inbox directly use [`Endpoint::recv_until`](crate::Endpoint::recv_until),
+//! which parks on the channel itself.
 
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
 
-/// Callback invoked on every ring, after the counter bump is published.
+/// Callback invoked on every ring.
 pub type RingListener = Arc<dyn Fn() + Send + Sync>;
 
-#[derive(Default)]
-struct Inner {
-    rings: Mutex<u64>,
-    cv: Condvar,
-    /// Optional side-channel: an executor routes this bell's rings into its
-    /// ready queue.  Installed at most once, invoked *outside* the rings
-    /// lock so the listener may take its own locks freely.
-    listener: OnceLock<RingListener>,
+/// A cloneable wake-up hook between senders and an endpoint's driver.
+///
+/// Cloning is a refcount bump; all clones share one listener slot.
+#[derive(Clone, Default)]
+pub struct Doorbell {
+    listener: Arc<OnceLock<RingListener>>,
 }
 
-impl std::fmt::Debug for Inner {
+impl std::fmt::Debug for Doorbell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Inner")
-            .field("rings", &self.rings)
+        f.debug_struct("Doorbell")
             .field("listener", &self.listener.get().map(|_| "…"))
             .finish()
     }
 }
 
-/// A cloneable wake-up channel between senders and a parked driver.
-///
-/// Cloning is a refcount bump; all clones ring and wait on the same
-/// counter.
-#[derive(Debug, Clone, Default)]
-pub struct Doorbell {
-    inner: Arc<Inner>,
-}
-
 impl Doorbell {
-    /// Fresh doorbell with a zeroed ring counter.
+    /// Fresh doorbell with no listener.
     pub fn new() -> Doorbell {
         Doorbell::default()
     }
 
-    /// Ring: bump the counter and wake every parked waiter.
+    /// Ring: invoke the listener, if any.
     pub fn ring(&self) {
-        {
-            let mut rings = self.inner.rings.lock().unwrap();
-            *rings += 1;
-            // Notify while holding the lock: a waiter between its counter
-            // check and its `wait` cannot miss this ring.
-            self.inner.cv.notify_all();
-        }
-        // Listener runs after the lock is dropped: it may take arbitrary
-        // locks of its own (an executor's ready-queue mutex) without any
-        // ordering constraint against the rings mutex.
-        if let Some(l) = self.inner.listener.get() {
+        if let Some(l) = self.listener.get() {
             l();
         }
     }
 
     /// Install a ring listener.  At most one listener per bell; later calls
-    /// are ignored.  Because every sender enqueues its message *before*
-    /// ringing, a listener that schedules the receiving driver observes the
-    /// same no-lost-wakeup guarantee as a parked waiter.
+    /// are ignored.  The listener runs on the sending thread and may take
+    /// locks of its own.
     pub fn set_listener(&self, l: RingListener) {
-        let _ = self.inner.listener.set(l);
-    }
-
-    /// Current ring count.  Snapshot this *before* the final work re-check
-    /// that precedes [`Doorbell::wait_past`].
-    pub fn rings(&self) -> u64 {
-        *self.inner.rings.lock().unwrap()
-    }
-
-    /// Park until the ring count moves past `seen` or `timeout` elapses;
-    /// returns the count at wake-up.  Returns immediately when a ring
-    /// already landed after the `seen` snapshot.
-    pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut rings = self.inner.rings.lock().unwrap();
-        let deadline = std::time::Instant::now() + timeout;
-        while *rings == seen {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                break;
-            }
-            rings = self.inner.cv.wait_timeout(rings, deadline - now).unwrap().0;
-        }
-        *rings
-    }
-
-    /// Do two handles ring the same bell?
-    pub fn same_bell(&self, other: &Doorbell) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        let _ = self.listener.set(l);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
-
-    #[test]
-    fn ring_before_wait_returns_immediately() {
-        let db = Doorbell::new();
-        let seen = db.rings();
-        db.ring();
-        let t0 = Instant::now();
-        let now = db.wait_past(seen, Duration::from_secs(5));
-        assert_eq!(now, seen + 1);
-        assert!(t0.elapsed() < Duration::from_millis(100), "must not block");
-    }
-
-    #[test]
-    fn wait_times_out_without_ring() {
-        let db = Doorbell::new();
-        let seen = db.rings();
-        let t0 = Instant::now();
-        let now = db.wait_past(seen, Duration::from_millis(20));
-        assert_eq!(now, seen);
-        assert!(t0.elapsed() >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn cross_thread_ring_wakes_waiter() {
-        let db = Doorbell::new();
-        let db2 = db.clone();
-        assert!(db.same_bell(&db2));
-        let seen = db.rings();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            db2.ring();
-        });
-        let now = db.wait_past(seen, Duration::from_secs(5));
-        assert!(now > seen);
-        t.join().unwrap();
-    }
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn listener_fires_on_every_ring_from_any_clone() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let db = Doorbell::new();
         let hits = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hits);
@@ -188,19 +86,14 @@ mod tests {
         // recurse forever, but ringing *another* bell must be safe.
         let a = Doorbell::new();
         let b = Doorbell::new();
+        let hits = Arc::new(AtomicU64::new(0));
+        let h = Arc::clone(&hits);
+        b.set_listener(Arc::new(move || {
+            h.fetch_add(1, Ordering::SeqCst);
+        }));
         let b2 = b.clone();
         a.set_listener(Arc::new(move || b2.ring()));
-        let seen = b.rings();
         a.ring();
-        assert_eq!(b.rings(), seen + 1);
-    }
-
-    #[test]
-    fn stale_snapshot_never_blocks() {
-        let db = Doorbell::new();
-        db.ring();
-        db.ring();
-        // A snapshot taken before those rings is already "past".
-        assert_eq!(db.wait_past(0, Duration::from_secs(5)), 2);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
     }
 }

@@ -47,21 +47,22 @@
 //! ## Doorbells: event-driven receivers
 //!
 //! Every send rings the destination endpoint's [`Doorbell`] *after*
-//! enqueuing the message, so an idle driver parks (futex wait) instead of
-//! spin- or sleep-polling — on a loaded host the difference between a
-//! ~1 ms OS-timeslice of added latency per message and a few-µs wake-up.
-//! The two-phase snapshot/re-check/park protocol (see [`doorbell`]) makes
-//! the park race-free, [`Endpoint::recv_until`] gives a deadline-bounded
-//! blocking receive, and [`Fabric::new_shared_doorbell`] aliases one bell
-//! across every endpoint for single-driver (deterministic) embedders.
+//! enqueuing the message.  A scheduler installs a listener on each bell
+//! ([`Doorbell::set_listener`]) and queues that endpoint's driver when it
+//! rings, so an idle driver is woken by traffic instead of spin- or
+//! sleep-polling — on a loaded host the difference between a ~1 ms
+//! OS-timeslice of added latency per message and a few-µs wake-up.
+//! Enqueue-before-ring makes the wake-up race-free (see [`doorbell`]);
+//! a thread that blocks on its own inbox uses [`Endpoint::recv_until`],
+//! a deadline-bounded park on the channel.
 //!
 //! ## The fault model
 //!
 //! By default every link is a perfect wire: no loss, no duplication, no
 //! reordering beyond the documented per-pair FIFO guarantee.
-//! [`Fabric::new_chaotic`] replaces it with a seeded [`FaultPlan`] (see
-//! [`chaos`]) that may, per directed link and in a byte-identical
-//! schedule for a given seed:
+//! Passing a seeded [`FaultPlan`] (see [`chaos`]) to [`Fabric::new`]
+//! replaces it with a wire that may, per directed link and in a
+//! byte-identical schedule for a given seed:
 //!
 //! * **drop** a message (the sender still sees `Ok` — loss is silent,
 //!   like a real NIC);

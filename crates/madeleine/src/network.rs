@@ -66,8 +66,7 @@ struct Shared {
     senders: Vec<Sender<Message>>,
     profile: NetProfile,
     stats: Vec<Arc<EndpointStats>>,
-    /// Doorbell rung when a message is enqueued for node *i*.  Entries may
-    /// alias one shared bell (deterministic-mode single driver).
+    /// Doorbell rung when a message is enqueued for node *i*.
     doorbells: Vec<Doorbell>,
     /// Death certificates, one per node.  Set once (never cleared) by
     /// [`Endpoint::mark_dead`]; the send path refuses traffic to *and from*
@@ -91,51 +90,13 @@ pub struct Fabric;
 
 impl Fabric {
     /// Build an `n`-node fabric; returns one [`Endpoint`] per node, in node
-    /// order, each with its own doorbell.  (`Fabric` itself is a pure
-    /// factory and holds no state.)
+    /// order, each with its own doorbell.  With a seeded [`FaultPlan`] the
+    /// send path may drop, duplicate, delay, or hold back eligible
+    /// messages, and the plan's scheduled partition windows cut traffic
+    /// (see [`crate::chaos`]); `None` keeps every link a perfect wire.
+    /// (`Fabric` itself is a pure factory and holds no state.)
     #[allow(clippy::new_ret_no_self)]
-    pub fn new(n: usize, profile: NetProfile) -> Vec<Endpoint> {
-        Fabric::build(n, profile, (0..n).map(|_| Doorbell::new()).collect(), None)
-    }
-
-    /// [`Fabric::new`], but every endpoint rings — and can park on — one
-    /// **shared** doorbell.  This is what a single OS thread driving all
-    /// nodes round-robin wants: it parks once for the whole fabric and any
-    /// send to any node wakes it.
-    pub fn new_shared_doorbell(n: usize, profile: NetProfile) -> Vec<Endpoint> {
-        let bell = Doorbell::new();
-        Fabric::build(n, profile, vec![bell; n], None)
-    }
-
-    /// [`Fabric::new`] under a seeded [`FaultPlan`]: the send path may
-    /// drop, duplicate, delay, or hold back eligible messages, and the
-    /// plan's scheduled partition windows cut traffic (see
-    /// [`crate::chaos`]).
-    pub fn new_chaotic(n: usize, profile: NetProfile, plan: FaultPlan) -> Vec<Endpoint> {
-        Fabric::build(
-            n,
-            profile,
-            (0..n).map(|_| Doorbell::new()).collect(),
-            Some(plan),
-        )
-    }
-
-    /// [`Fabric::new_shared_doorbell`] under a seeded [`FaultPlan`].
-    pub fn new_shared_doorbell_chaotic(
-        n: usize,
-        profile: NetProfile,
-        plan: FaultPlan,
-    ) -> Vec<Endpoint> {
-        let bell = Doorbell::new();
-        Fabric::build(n, profile, vec![bell; n], Some(plan))
-    }
-
-    fn build(
-        n: usize,
-        profile: NetProfile,
-        doorbells: Vec<Doorbell>,
-        plan: Option<FaultPlan>,
-    ) -> Vec<Endpoint> {
+    pub fn new(n: usize, profile: NetProfile, plan: Option<FaultPlan>) -> Vec<Endpoint> {
         assert!(n >= 1, "a fabric needs at least one node");
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
@@ -150,7 +111,7 @@ impl Fabric {
             senders,
             profile,
             stats,
-            doorbells,
+            doorbells: (0..n).map(|_| Doorbell::new()).collect(),
             dead,
             partition_on: AtomicBool::new(false),
             partition: Mutex::new(vec![WILD_GROUP; n]),
@@ -462,7 +423,7 @@ impl Endpoint {
     pub fn mark_dead(&self, node: usize) {
         if let Some(flag) = self.shared.dead.get(node) {
             flag.store(true, Ordering::Release);
-            // Wake the corpse's driver (and any shared-bell driver) so it
+            // Wake the corpse's driver so it
             // can observe the death instead of parking forever.
             self.shared.doorbells[node].ring();
         }
@@ -507,9 +468,8 @@ impl Endpoint {
     }
 
     /// The doorbell rung whenever a message is enqueued for this endpoint.
-    /// Drivers park on it when both the inbox and the local scheduler are
-    /// idle; under [`Fabric::new_shared_doorbell`] all endpoints return
-    /// handles to the same bell.
+    /// A scheduler installs a listener on it
+    /// ([`Doorbell::set_listener`]) to wake this endpoint's driver.
     pub fn doorbell(&self) -> &Doorbell {
         &self.shared.doorbells[self.node]
     }
@@ -532,7 +492,7 @@ mod tests {
 
     #[test]
     fn point_to_point_delivery() {
-        let eps = Fabric::new(2, NetProfile::instant());
+        let eps = Fabric::new(2, NetProfile::instant(), None);
         eps[0].send(1, 7, vec![1, 2, 3]).unwrap();
         let m = eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!((m.src, m.dst, m.tag), (0, 1, 7));
@@ -542,7 +502,7 @@ mod tests {
 
     #[test]
     fn per_pair_ordering() {
-        let eps = Fabric::new(2, NetProfile::instant());
+        let eps = Fabric::new(2, NetProfile::instant(), None);
         for i in 0..100u8 {
             eps[0].send(1, 0, vec![i]).unwrap();
         }
@@ -554,7 +514,7 @@ mod tests {
 
     #[test]
     fn per_endpoint_seq_is_monotonic_per_pair() {
-        let eps = Fabric::new(3, NetProfile::instant());
+        let eps = Fabric::new(3, NetProfile::instant(), None);
         for _ in 0..10 {
             eps[0].send(2, 0, Vec::new()).unwrap();
             eps[1].send(2, 0, Vec::new()).unwrap();
@@ -571,7 +531,7 @@ mod tests {
 
     #[test]
     fn cross_thread_delivery() {
-        let mut eps = Fabric::new(2, NetProfile::instant());
+        let mut eps = Fabric::new(2, NetProfile::instant(), None);
         let e1 = eps.pop().unwrap();
         let e0 = eps.pop().unwrap();
         let t = std::thread::spawn(move || {
@@ -594,7 +554,7 @@ mod tests {
             latency_ns: 100_000,
             ns_per_byte: 0.0,
         };
-        let eps = Fabric::new(2, profile);
+        let eps = Fabric::new(2, profile, None);
         let t0 = Instant::now();
         for _ in 0..10 {
             eps[0].send(1, 0, Vec::new()).unwrap();
@@ -621,7 +581,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone_but_self() {
-        let eps = Fabric::new(4, NetProfile::instant());
+        let eps = Fabric::new(4, NetProfile::instant(), None);
         eps[2].broadcast(5, &[9]).unwrap();
         for (i, ep) in eps.iter().enumerate() {
             if i == 2 {
@@ -634,7 +594,7 @@ mod tests {
 
     #[test]
     fn broadcast_aliases_one_buffer() {
-        let eps = Fabric::new(17, NetProfile::instant());
+        let eps = Fabric::new(17, NetProfile::instant(), None);
         let mut b = eps[0].pool().checkout(1024);
         b.extend_from_slice(&[0xC3; 1024]);
         eps[0].broadcast(5, b).unwrap();
@@ -660,7 +620,7 @@ mod tests {
 
     #[test]
     fn pooled_sends_reuse_one_buffer() {
-        let eps = Fabric::new(2, NetProfile::instant());
+        let eps = Fabric::new(2, NetProfile::instant(), None);
         let mut ptr = None;
         for round in 0..32u8 {
             let mut b = eps[0].pool().checkout(256);
@@ -680,48 +640,24 @@ mod tests {
 
     #[test]
     fn send_rings_destination_doorbell() {
-        let eps = Fabric::new(3, NetProfile::instant());
-        let before = eps[1].doorbell().rings();
+        use std::sync::atomic::AtomicU64;
+        let eps = Fabric::new(3, NetProfile::instant(), None);
+        let hits: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
+        for (ep, h) in eps.iter().zip(&hits) {
+            let h = Arc::clone(h);
+            ep.doorbell().set_listener(Arc::new(move || {
+                h.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
         eps[0].send(1, 0, Vec::new()).unwrap();
-        assert_eq!(eps[1].doorbell().rings(), before + 1);
+        assert_eq!(hits[1].load(Ordering::SeqCst), 1);
         // Node 2's bell is untouched: per-endpoint bells are independent.
-        assert_eq!(eps[2].doorbell().rings(), 0);
-        assert!(!eps[1].doorbell().same_bell(eps[2].doorbell()));
-    }
-
-    #[test]
-    fn shared_doorbell_covers_every_endpoint() {
-        let eps = Fabric::new_shared_doorbell(3, NetProfile::instant());
-        assert!(eps[0].doorbell().same_bell(eps[2].doorbell()));
-        let seen = eps[0].doorbell().rings();
-        eps[1].send(2, 0, Vec::new()).unwrap();
-        // A send to *any* node moves the one shared counter.
-        assert_eq!(eps[0].doorbell().rings(), seen + 1);
-    }
-
-    #[test]
-    fn parked_receiver_wakes_on_send() {
-        let mut eps = Fabric::new(2, NetProfile::instant());
-        let e1 = eps.pop().unwrap();
-        let e0 = eps.pop().unwrap();
-        let t = std::thread::spawn(move || {
-            // Park on the doorbell with the two-phase protocol, then drain.
-            let seen = e1.doorbell().rings();
-            if e1.try_recv().is_none() {
-                e1.doorbell().wait_past(seen, Duration::from_secs(5));
-            }
-            e1.recv_until(Instant::now() + Duration::from_secs(5))
-                .expect("woken with a message pending")
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        e0.send(1, 9, vec![1]).unwrap();
-        let m = t.join().unwrap();
-        assert_eq!(m.tag, 9);
+        assert_eq!(hits[2].load(Ordering::SeqCst), 0);
     }
 
     #[test]
     fn recv_until_respects_past_deadlines() {
-        let eps = Fabric::new(2, NetProfile::instant());
+        let eps = Fabric::new(2, NetProfile::instant(), None);
         // Expired deadline: degenerates to a non-blocking poll.
         assert!(eps[1].recv_until(Instant::now()).is_none());
         eps[0].send(1, 4, Vec::new()).unwrap();
@@ -730,13 +666,13 @@ mod tests {
 
     #[test]
     fn bad_destination() {
-        let eps = Fabric::new(2, NetProfile::instant());
+        let eps = Fabric::new(2, NetProfile::instant(), None);
         assert_eq!(eps[0].send(5, 0, Vec::new()), Err(NetError::NoSuchNode(5)));
     }
 
     #[test]
     fn dead_node_refuses_traffic_both_ways() {
-        let eps = Fabric::new(3, NetProfile::instant());
+        let eps = Fabric::new(3, NetProfile::instant(), None);
         eps[0].send(1, 0, vec![1]).unwrap();
         eps[0].mark_dead(1);
         assert!(
@@ -760,7 +696,7 @@ mod tests {
     /// Drive the same send schedule through a chaotic fabric and return
     /// what node 1 actually receives, as (tag, seq) pairs.
     fn chaos_run(plan: FaultPlan, sends: usize) -> (Vec<(u16, u64)>, EndpointStatsSnapshot) {
-        let eps = Fabric::new_chaotic(2, NetProfile::instant(), plan);
+        let eps = Fabric::new(2, NetProfile::instant(), Some(plan));
         for i in 0..sends {
             eps[0].send(1, (i % 7) as u16, vec![i as u8]).unwrap();
         }
@@ -811,7 +747,7 @@ mod tests {
     #[test]
     fn protected_tags_pass_untouched_and_flush_holdbacks() {
         let plan = FaultPlan::new(3).with_drop(1.0).protect_tags(&[9]);
-        let eps = Fabric::new_chaotic(2, NetProfile::instant(), plan);
+        let eps = Fabric::new(2, NetProfile::instant(), Some(plan));
         eps[0].send(1, 0, Vec::new()).unwrap(); // dropped
         eps[0].send(1, 9, Vec::new()).unwrap(); // protected: delivered
         assert_eq!(eps[1].try_recv().unwrap().tag, 9);
@@ -822,7 +758,7 @@ mod tests {
     #[test]
     fn self_sends_are_never_faulted() {
         let plan = FaultPlan::new(4).with_drop(1.0);
-        let eps = Fabric::new_chaotic(2, NetProfile::instant(), plan);
+        let eps = Fabric::new(2, NetProfile::instant(), Some(plan));
         for _ in 0..20 {
             eps[0].send(0, 1, Vec::new()).unwrap();
             assert!(eps[0].try_recv().is_some(), "self-sends bypass chaos");
@@ -833,7 +769,7 @@ mod tests {
     #[test]
     fn chaos_delay_is_charged_at_the_receiver() {
         let plan = FaultPlan::new(5).with_delay(1.0, Duration::from_micros(200));
-        let eps = Fabric::new_chaotic(2, NetProfile::instant(), plan);
+        let eps = Fabric::new(2, NetProfile::instant(), Some(plan));
         for _ in 0..5 {
             eps[0].send(1, 0, Vec::new()).unwrap();
         }
@@ -848,7 +784,7 @@ mod tests {
 
     #[test]
     fn runtime_partition_cuts_then_heals() {
-        let eps = Fabric::new(4, NetProfile::instant());
+        let eps = Fabric::new(4, NetProfile::instant(), None);
         // {0,1} vs {2}; node 3 is wild (an embedder's host endpoint).
         eps[0].set_partition(vec![0, 0, 1, WILD_GROUP]);
         eps[0].send(2, 7, Vec::new()).unwrap(); // eaten silently
@@ -870,7 +806,7 @@ mod tests {
     #[test]
     fn scheduled_partition_window_expires() {
         let plan = FaultPlan::partition(0, &[0], &[1], Duration::from_millis(60));
-        let eps = Fabric::new_chaotic(2, NetProfile::instant(), plan);
+        let eps = Fabric::new(2, NetProfile::instant(), Some(plan));
         eps[0].send(1, 1, Vec::new()).unwrap();
         assert!(eps[1].try_recv().is_none(), "window open: cut");
         std::thread::sleep(Duration::from_millis(80));
@@ -881,7 +817,7 @@ mod tests {
 
     #[test]
     fn stats_track_traffic() {
-        let eps = Fabric::new(2, NetProfile::instant());
+        let eps = Fabric::new(2, NetProfile::instant(), None);
         eps[0].send(1, 0, vec![0; 50]).unwrap();
         eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(eps[0].stats().msgs_sent, 1);

@@ -17,16 +17,17 @@
 
 use std::time::Duration;
 
-use pm2::{Machine, MachineMode, NetProfile, Pm2Config};
+use pm2::{Machine, NetProfile};
 use pm2_workload::{register_services, run_ramp, RampConfig, WorkloadSpec};
 
 fn main() {
     // A small machine on the instant wire profile: the ramp measures the
     // runtime, not the modelled network.
-    let cfg = Pm2Config::new(4)
-        .with_net(NetProfile::instant())
-        .with_mode(MachineMode::Threaded)
-        .with_reply_deadline(Duration::from_secs(2));
+    let cfg = Machine::builder(4)
+        .net(NetProfile::instant())
+        .threaded()
+        .reply_deadline(Duration::from_secs(2))
+        .into_config();
     let mut m = Machine::launch(cfg).unwrap();
     register_services(&m);
 

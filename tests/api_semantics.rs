@@ -112,9 +112,11 @@ fn probe_load_counts_residents() {
 fn legacy_scheme_machine_still_migrates_correctly() {
     // Under the RegisteredPointers ablation scheme migrations still use
     // iso-addresses for safety; the fix-up walk is charged on arrival.
-    let mut m =
-        Machine::launch(Pm2Config::test(2).with_scheme(MigrationScheme::RegisteredPointers))
-            .unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .scheme(MigrationScheme::RegisteredPointers)
+        .launch()
+        .unwrap();
     m.run_on(0, || {
         let x = 99u64;
         let px = &x as *const u64;
@@ -201,7 +203,11 @@ fn node_stats_and_slot_stats_are_exposed() {
 #[test]
 fn myrinet_profile_machine_works_end_to_end() {
     // Same semantics under the calibrated wire model (timing differs only).
-    let mut m = Machine::launch(Pm2Config::test(2).with_net(NetProfile::myrinet_bip())).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .net(NetProfile::myrinet_bip())
+        .launch()
+        .unwrap();
     m.run_on(0, || {
         let p = pm2_isomalloc(1000).unwrap() as *mut u64;
         unsafe { p.write(7) };
@@ -216,8 +222,11 @@ fn myrinet_profile_machine_works_end_to_end() {
 #[test]
 fn syscall_map_strategy_machine_works_end_to_end() {
     use pm2::MapStrategy;
-    let mut m =
-        Machine::launch(Pm2Config::test(2).with_map_strategy(MapStrategy::Syscall)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .map_strategy(MapStrategy::Syscall)
+        .launch()
+        .unwrap();
     m.run_on(0, || {
         let p = pm2_isomalloc(5000).unwrap();
         unsafe { std::ptr::write_bytes(p, 0x3A, 5000) };

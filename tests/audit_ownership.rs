@@ -83,7 +83,11 @@ fn ownership_transfers_nodes_through_migrate_and_die() {
 
 #[test]
 fn audit_reports_cached_slots_consistently() {
-    let mut m = Machine::launch(Pm2Config::test(1).with_slot_cache(8)).unwrap();
+    let mut m = Machine::builder(1)
+        .test_profile()
+        .slot_cache(8)
+        .launch()
+        .unwrap();
     m.run_on(0, || {
         for _ in 0..5 {
             let p = pm2_isomalloc(40_000).unwrap();

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pm2::api::*;
-use pm2::{Distribution, FaultPlan, Machine, Pm2Config, Service};
+use pm2::{Distribution, FaultPlan, Machine, Service};
 use testkit::cases;
 
 /// Sum a per-node stat across the whole machine.
@@ -52,17 +52,17 @@ fn identical_seeds_inject_identical_fault_schedules() {
     // faults — and therefore every chaos counter on every node — must be
     // identical.  This is what makes chaos failures replayable.
     let run = || {
-        let mut m = Machine::launch(
-            Pm2Config::test(3)
-                .with_distribution(Distribution::RoundRobin)
-                .with_fault_plan(
-                    FaultPlan::new(0xC0FFEE)
-                        .with_drop(0.02)
-                        .with_duplicate(0.3)
-                        .with_hold(0.3),
-                ),
-        )
-        .unwrap();
+        let mut m = Machine::builder(3)
+            .test_profile()
+            .distribution(Distribution::RoundRobin)
+            .fault_plan(
+                FaultPlan::new(0xC0FFEE)
+                    .with_drop(0.02)
+                    .with_duplicate(0.3)
+                    .with_hold(0.3),
+            )
+            .launch()
+            .unwrap();
         let t = alloc_storm(&m, 1, 10);
         assert!(!m.join(t).panicked);
         let chaos: Vec<_> = (0..3)
@@ -90,12 +90,12 @@ fn duplicate_storm_cannot_double_adopt_trade_grants() {
     // once — the dedup window must drop the replay before the handler
     // can adopt them twice.  Double adoption corrupts the ownership
     // partition, which the audit would catch.
-    let mut m = Machine::launch(
-        Pm2Config::test(4)
-            .with_distribution(Distribution::RoundRobin)
-            .with_fault_plan(FaultPlan::new(7).with_duplicate(0.6)),
-    )
-    .unwrap();
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .distribution(Distribution::RoundRobin)
+        .fault_plan(FaultPlan::new(7).with_duplicate(0.6))
+        .launch()
+        .unwrap();
     let threads: Vec<_> = (0..4).map(|n| alloc_storm(&m, n, 15)).collect();
     for t in threads {
         assert!(!m.join(t).panicked);
@@ -115,9 +115,11 @@ fn duplicated_migrate_commands_and_acks_apply_once() {
     // command must not re-flag (or double-count) a migration, and a
     // duplicated ack must not confuse the waiting manager.  The train
     // itself (MIGRATION) rides the protected class.
-    let mut m =
-        Machine::launch(Pm2Config::test(2).with_fault_plan(FaultPlan::new(21).with_duplicate(0.7)))
-            .unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .fault_plan(FaultPlan::new(21).with_duplicate(0.7))
+        .launch()
+        .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let mut workers = Vec::new();
     for _ in 0..4 {
@@ -163,12 +165,12 @@ fn reordered_control_traffic_still_converges() {
     // A hold-heavy plan swaps adjacent control messages on every
     // unprotected link; the dedup window tolerates distance-1 reorder
     // and the request/reply ops match by id, so everything completes.
-    let mut m = Machine::launch(
-        Pm2Config::test(4)
-            .with_distribution(Distribution::RoundRobin)
-            .with_fault_plan(FaultPlan::new(99).with_hold(0.5)),
-    )
-    .unwrap();
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .distribution(Distribution::RoundRobin)
+        .fault_plan(FaultPlan::new(99).with_hold(0.5))
+        .launch()
+        .unwrap();
     m.register(Echo);
     let threads: Vec<_> = (1..4).map(|n| alloc_storm(&m, n, 10)).collect();
     for i in 0..10u64 {
@@ -195,13 +197,13 @@ fn any_lossy_plan_up_to_5_percent_completes_the_core_ops() {
     cases(6, |rng| {
         let seed = rng.next_u64();
         let loss = (rng.next_u64() % 51) as f64 / 1000.0; // 0 .. 5%
-        let mut m = Machine::launch(
-            Pm2Config::test(4)
-                .with_distribution(Distribution::RoundRobin)
-                .with_reply_deadline(Duration::from_secs(2))
-                .with_fault_plan(FaultPlan::lossy(seed, loss)),
-        )
-        .unwrap();
+        let mut m = Machine::builder(4)
+            .test_profile()
+            .distribution(Distribution::RoundRobin)
+            .reply_deadline(Duration::from_secs(2))
+            .fault_plan(FaultPlan::lossy(seed, loss))
+            .launch()
+            .unwrap();
         m.register(Echo);
         // Spawn + join with a value.
         let h = m.spawn_on_ret(1, || 11u64).unwrap();

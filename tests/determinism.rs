@@ -1,6 +1,9 @@
-//! Deterministic mode: a single OS thread drives all nodes round-robin, so
-//! identical programs produce identical interleavings — run-to-run and
-//! against a golden trace.
+//! Deterministic mode: a single executor worker steps the nodes in strict
+//! rotation, so identical programs produce identical interleavings —
+//! run-to-run and against a golden trace.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use pm2::api::*;
 use pm2::{pm2_printf, Machine, Pm2Config};
@@ -54,6 +57,45 @@ fn migrated_threads_report_new_nodes_in_trace() {
         assert!(
             lines.contains(&format!("[node{dest}] t{i} round 2 on node {dest}")),
             "thread {i} should continue on node {dest}: {lines:?}"
+        );
+    }
+}
+
+#[test]
+fn deterministic_dispatch_alternates_busy_nodes() {
+    // Golden dispatch order: with one green thread per node, both always
+    // runnable, deterministic mode steps the nodes in strict rotation —
+    // one thread quantum (one line) per node per turn.
+    let m = Machine::launch(Pm2Config::test(2)).unwrap();
+    let go = Arc::new(AtomicBool::new(false));
+    let handles: Vec<_> = (0..2usize)
+        .map(|node| {
+            let go = Arc::clone(&go);
+            m.spawn_on(node, move || {
+                while !go.load(Ordering::SeqCst) {
+                    pm2_yield();
+                }
+                for i in 0..20 {
+                    pm2_printf!("line {i}");
+                    pm2_yield();
+                }
+            })
+            .unwrap()
+        })
+        .collect();
+    // Both threads are spinning before the flag drops.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    go.store(true, Ordering::SeqCst);
+    for h in handles {
+        m.join(h);
+    }
+    let lines = m.output_lines();
+    assert_eq!(lines.len(), 40, "{lines:?}");
+    for pair in lines.windows(2) {
+        assert_ne!(
+            pair[0][..7],
+            pair[1][..7],
+            "consecutive lines from one node: {lines:?}"
         );
     }
 }

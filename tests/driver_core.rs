@@ -3,6 +3,8 @@
 //! drivers wake promptly on traffic, and a flood of data-class messages
 //! cannot starve shutdown or negotiation (ISSUE 3).
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm2::api::*;
@@ -19,14 +21,14 @@ fn flood(m: &Machine, node: usize, count: usize) {
 
 #[test]
 fn quiescent_threaded_machine_parks_its_drivers() {
-    let mut m = Machine::launch(
-        Pm2Config::test(2)
-            .with_mode(MachineMode::Threaded)
-            // Park longer than the observation window: a parked driver
-            // then shows ~zero wake-ups while we watch.
-            .with_idle_park(Duration::from_secs(5)),
-    )
-    .unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        // Park longer than the observation window: a parked driver
+        // then shows ~zero wake-ups while we watch.
+        .idle_park(Duration::from_secs(5))
+        .launch()
+        .unwrap();
     // Let the drivers reach their parks, then watch a quiet window.
     std::thread::sleep(Duration::from_millis(100));
     let before: Vec<_> = (0..2).map(|n| m.node_stats(n)).collect();
@@ -62,19 +64,23 @@ fn quiescent_threaded_machine_parks_its_drivers() {
 
 #[test]
 fn quiescent_deterministic_machine_parks_its_driver() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_idle_park(Duration::from_secs(5))).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .idle_park(Duration::from_secs(5))
+        .launch()
+        .unwrap();
     std::thread::sleep(Duration::from_millis(100));
     let before = m.node_stats(0);
     std::thread::sleep(Duration::from_millis(300));
     let after = m.node_stats(0);
-    assert!(after.driver_parks >= 1, "shared-bell driver never parked");
+    assert!(after.driver_parks >= 1, "deterministic driver never parked");
     assert!(
         after.driver_wakeups - before.driver_wakeups <= 2,
         "driver woke {} times in a quiet 300 ms window",
         after.driver_wakeups - before.driver_wakeups
     );
     // Shutdown needs no park-timeout to complete: the SHUTDOWN sends ring
-    // the shared doorbell and the final sweep observes `finished()`.
+    // the node doorbells and the dispatch that handles it retires the node.
     let t0 = Instant::now();
     m.shutdown();
     assert!(
@@ -86,7 +92,11 @@ fn quiescent_deterministic_machine_parks_its_driver() {
 
 #[test]
 fn data_flood_does_not_starve_shutdown_deterministic() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_pump_budget(8)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .pump_budget(8)
+        .launch()
+        .unwrap();
     flood(&m, 0, 4000);
     flood(&m, 1, 4000);
     let t0 = Instant::now();
@@ -100,12 +110,12 @@ fn data_flood_does_not_starve_shutdown_deterministic() {
 
 #[test]
 fn data_flood_does_not_starve_shutdown_threaded() {
-    let mut m = Machine::launch(
-        Pm2Config::test(2)
-            .with_mode(MachineMode::Threaded)
-            .with_pump_budget(8),
-    )
-    .unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        .pump_budget(8)
+        .launch()
+        .unwrap();
     flood(&m, 0, 4000);
     flood(&m, 1, 4000);
     let t0 = Instant::now();
@@ -125,12 +135,14 @@ fn data_flood_does_not_starve_negotiation() {
     // junk.  The control-class NEG exchange must overtake the flood and
     // complete within the (test-profile, 10 s) reply deadline.
     for mode in [MachineMode::Deterministic, MachineMode::Threaded] {
-        let mut m = Machine::launch(
-            Pm2Config::test(2)
-                .with_mode(mode)
-                .with_pump_budget(8)
-                .with_slot_trade(false),
-        )
+        let mut m = Machine::launch(Pm2Config {
+            mode,
+            ..Machine::builder(2)
+                .test_profile()
+                .pump_budget(8)
+                .slot_trade(false)
+                .into_config()
+        })
         .unwrap();
         let slot = m.area().slot_size();
         flood(&m, 1, 5000);
@@ -149,8 +161,14 @@ fn tiny_pump_budget_still_runs_everything() {
     // Budget 1 (one message per pump) must be merely slow, never wrong:
     // spawns, migration and typed joins all keep working.
     for mode in [MachineMode::Deterministic, MachineMode::Threaded] {
-        let mut m =
-            Machine::launch(Pm2Config::test(2).with_mode(mode).with_pump_budget(1)).unwrap();
+        let mut m = Machine::launch(Pm2Config {
+            mode,
+            ..Machine::builder(2)
+                .test_profile()
+                .pump_budget(1)
+                .into_config()
+        })
+        .unwrap();
         let h = m
             .spawn_on_ret(0, || {
                 pm2_migrate(1).unwrap();
@@ -171,7 +189,11 @@ fn migration_hops_are_not_poll_bound() {
     // noise; the polled baseline needed ~2.2 s of driver latency alone
     // for the same work at its measured 1,079 µs/hop — and the wakeup
     // counters prove the event-driven path was the one taken.
-    let mut m = Machine::launch(Pm2Config::test(2).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     let t0 = Instant::now();
     m.run_on(0, || {
         for _ in 0..200 {
@@ -192,4 +214,43 @@ fn migration_hops_are_not_poll_bound() {
         s0.driver_parks + s1.driver_parks
     );
     m.shutdown();
+}
+
+#[test]
+fn busy_node_does_not_starve_idle_node_timers() {
+    // Node 0 yield-spins, so the ready queue is never empty; the idle
+    // nodes' gossip timers must still fire every heartbeat.  p = 4 with a
+    // 25 ms heartbeat: each gossip round is 2 messages, so a 500 ms window
+    // ideally sees 40 sends from an idle node.
+    for mode in [MachineMode::Threaded, MachineMode::Deterministic] {
+        let mut m = Machine::launch(Pm2Config {
+            mode,
+            ..Machine::builder(4)
+                .test_profile()
+                .heartbeat_every(Duration::from_millis(25))
+                .failure_timeout(Duration::from_secs(30))
+                .into_config()
+        })
+        .unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let s = Arc::clone(&stop);
+        let busy = m
+            .spawn_on(0, move || {
+                while !s.load(Ordering::SeqCst) {
+                    pm2_yield();
+                }
+            })
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        let before = m.net_stats(3).unwrap().msgs_sent;
+        std::thread::sleep(Duration::from_millis(500));
+        let sent = m.net_stats(3).unwrap().msgs_sent - before;
+        stop.store(true, Ordering::SeqCst);
+        m.join(busy);
+        m.shutdown();
+        assert!(
+            sent >= 27,
+            "{mode:?}: idle node sent {sent} messages in 500 ms, ideal 40"
+        );
+    }
 }

@@ -28,7 +28,10 @@ fn loop_until(stop: &AtomicBool) {
 
 #[test]
 fn killed_node_fails_host_join_within_grace() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_reply_deadline(Duration::from_millis(300)))
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .reply_deadline(Duration::from_millis(300))
+        .launch()
         .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
@@ -49,7 +52,10 @@ fn killed_node_fails_host_join_within_grace() {
 
 #[test]
 fn killed_node_fails_typed_join_with_node_failed() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_reply_deadline(Duration::from_millis(300)))
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .reply_deadline(Duration::from_millis(300))
+        .launch()
         .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
@@ -84,8 +90,11 @@ impl Service for Stuck {
 
 #[test]
 fn killed_callee_fails_host_rpc_with_node_failed() {
-    let mut m =
-        Machine::launch(Pm2Config::test(2).with_reply_deadline(Duration::from_secs(10))).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(10))
+        .launch()
+        .unwrap();
     m.register(Stuck);
     // Kill before the call: the send itself is refused with the death
     // certificate, well before any deadline.
@@ -101,8 +110,11 @@ fn killed_callee_fails_host_rpc_with_node_failed() {
 
 #[test]
 fn killed_callee_fails_green_rpc_mid_call() {
-    let mut m =
-        Machine::launch(Pm2Config::test(3).with_reply_deadline(Duration::from_secs(30))).unwrap();
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(30))
+        .launch()
+        .unwrap();
     m.register(Stuck);
     // A green thread on node 0 calls the never-replying service on node 2;
     // the kill lands mid-call.  Node 0 hears the NODE_DEAD broadcast and
@@ -124,7 +136,10 @@ fn killed_callee_fails_green_rpc_mid_call() {
 
 #[test]
 fn killed_owner_fails_green_join_mid_wait() {
-    let mut m = Machine::launch(Pm2Config::test(3).with_reply_deadline(Duration::from_millis(300)))
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .reply_deadline(Duration::from_millis(300))
+        .launch()
         .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
@@ -151,13 +166,13 @@ fn killed_owner_fails_green_join_mid_wait() {
 
 #[test]
 fn heartbeat_detector_declares_a_silent_node_dead() {
-    let mut m = Machine::launch(
-        Pm2Config::test(3)
-            .with_failure_timeout(Duration::from_millis(300))
-            .with_heartbeat_every(Duration::from_millis(50))
-            .with_idle_park(Duration::from_millis(50)),
-    )
-    .unwrap();
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .failure_timeout(Duration::from_millis(300))
+        .heartbeat_every(Duration::from_millis(50))
+        .idle_park(Duration::from_millis(50))
+        .launch()
+        .unwrap();
     // No NODE_DEAD announcement: the survivors must notice the silence.
     m.kill_node_silent(2).unwrap();
     assert!(
@@ -170,7 +185,10 @@ fn heartbeat_detector_declares_a_silent_node_dead() {
 
 #[test]
 fn balancer_survives_a_node_death() {
-    let mut m = Machine::launch(Pm2Config::test(3).with_reply_deadline(Duration::from_millis(500)))
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .reply_deadline(Duration::from_millis(500))
+        .launch()
         .unwrap();
     let bal = pm2::loadbal::start_balancer(
         &m,
@@ -195,12 +213,12 @@ fn balancer_survives_a_node_death() {
 #[test]
 fn checkpointed_threads_survive_their_node() {
     let dir = scratch_dir("recover");
-    let mut m = Machine::launch(
-        Pm2Config::test(4)
-            .with_reply_deadline(Duration::from_secs(2))
-            .with_spill_dir(&dir),
-    )
-    .unwrap();
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(2))
+        .spill_dir(&dir)
+        .launch()
+        .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
 
     // Four iso-allocating threads on node 1, each holding a value in the
@@ -278,7 +296,10 @@ fn checkpointed_threads_survive_their_node() {
 
 #[test]
 fn recovery_without_spill_loses_everything_but_hangs_nothing() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_reply_deadline(Duration::from_millis(500)))
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .reply_deadline(Duration::from_millis(500))
+        .launch()
         .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
@@ -319,13 +340,13 @@ fn coordinator_death_elects_successor_and_negotiations_complete() {
     // negotiation completes under the successor.  Round-robin with
     // trading off forces every multi-slot allocation through the global
     // protocol.
-    let mut m = Machine::launch(
-        Pm2Config::test(4)
-            .with_distribution(Distribution::RoundRobin)
-            .with_slot_trade(false)
-            .with_reply_deadline(Duration::from_secs(2)),
-    )
-    .unwrap();
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .distribution(Distribution::RoundRobin)
+        .slot_trade(false)
+        .reply_deadline(Duration::from_secs(2))
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     let storm = |iters: usize, slots: usize| {
         move || {
@@ -369,12 +390,12 @@ fn coordinator_death_elects_successor_and_negotiations_complete() {
 #[test]
 fn checkpoint_of_a_node_killed_mid_request_resolves_typed() {
     let dir = scratch_dir("ckpt-race");
-    let mut m = Machine::launch(
-        Pm2Config::test(2)
-            .with_reply_deadline(Duration::from_millis(500))
-            .with_spill_dir(&dir),
-    )
-    .unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .reply_deadline(Duration::from_millis(500))
+        .spill_dir(&dir)
+        .launch()
+        .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let _t = m.spawn_on(1, move || loop_until(&stop2)).unwrap();
@@ -412,13 +433,13 @@ fn checkpoint_of_a_node_killed_mid_request_resolves_typed() {
 #[test]
 fn periodic_checkpoints_cover_recovery_without_explicit_requests() {
     let dir = scratch_dir("periodic");
-    let mut m = Machine::launch(
-        Pm2Config::test(2)
-            .with_reply_deadline(Duration::from_secs(2))
-            .with_spill_dir(&dir)
-            .with_checkpoint_every(Duration::from_millis(50)),
-    )
-    .unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(2))
+        .spill_dir(&dir)
+        .checkpoint_every(Duration::from_millis(50))
+        .launch()
+        .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let h = m

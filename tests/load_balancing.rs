@@ -7,11 +7,15 @@ use std::time::Duration;
 
 use pm2::api::*;
 use pm2::loadbal::{start_balancer, BalancerConfig};
-use pm2::{Machine, MachineMode, Pm2Config};
+use pm2::Machine;
 
 #[test]
 fn balancer_spreads_a_hot_node() {
-    let mut m = Machine::launch(Pm2Config::test(4).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     let bal = start_balancer(
         &m,
         BalancerConfig {
@@ -73,7 +77,11 @@ fn balancer_spreads_a_hot_node() {
 
 #[test]
 fn balancer_is_quiet_on_balanced_load() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     let bal = start_balancer(
         &m,
         BalancerConfig {
@@ -116,7 +124,11 @@ fn balancer_is_quiet_on_balanced_load() {
 /// migration messages carry more than one thread.
 #[test]
 fn balancer_batches_commands_and_forms_trains() {
-    let mut m = Machine::launch(Pm2Config::test(4).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     let bal = start_balancer(
         &m,
         BalancerConfig {
@@ -191,7 +203,11 @@ fn balancer_batches_commands_and_forms_trains() {
 /// must not wedge, and the load still spreads to the nodes that answer.
 #[test]
 fn frozen_destination_degrades_round_not_daemon() {
-    let mut m = Machine::launch(Pm2Config::test(3).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     // Hog node 2's driver: a thread that never yields for a while.  While
     // it runs, node 2 answers no LOAD_REQ and adopts no trains.
     let hog = m
@@ -257,7 +273,11 @@ fn frozen_destination_degrades_round_not_daemon() {
 
 #[test]
 fn non_migratable_threads_stay_put() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     let bal = start_balancer(
         &m,
         BalancerConfig {
@@ -307,7 +327,11 @@ fn non_migratable_threads_stay_put() {
 /// of strict alternation; the cooldown would brake any stray move.
 #[test]
 fn symmetric_chatter_settles_under_hysteresis() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     pm2_workload::register_services(&m);
     let bal = start_balancer(
         &m,
@@ -353,15 +377,15 @@ fn symmetric_chatter_settles_under_hysteresis() {
 /// machine every hint is both fresh and boring, so savings accrue fast.
 #[test]
 fn fresh_gossip_hints_save_balancer_probes() {
-    let mut m = Machine::launch(
-        Pm2Config::test(4)
-            .with_mode(MachineMode::Threaded)
-            // Gossip only runs with the failure detector armed on a
-            // small machine; fast heartbeats keep the hints fresh.
-            .with_failure_timeout(Duration::from_millis(900))
-            .with_heartbeat_every(Duration::from_millis(2)),
-    )
-    .unwrap();
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .threaded()
+        // Gossip only runs with the failure detector armed on a
+        // small machine; fast heartbeats keep the hints fresh.
+        .failure_timeout(Duration::from_millis(900))
+        .heartbeat_every(Duration::from_millis(2))
+        .launch()
+        .unwrap();
     let bal = start_balancer(
         &m,
         BalancerConfig {

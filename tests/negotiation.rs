@@ -8,20 +8,24 @@
 //! trade-first hot path has its own suite in `tests/slot_trade.rs`.
 
 use pm2::api::*;
-use pm2::{AreaConfig, Distribution, Machine, Pm2Config};
+use pm2::{AreaConfig, Distribution, Machine};
 
 fn machine_with(nodes: usize, dist: Distribution) -> Machine {
-    Machine::launch(Pm2Config::test(nodes).with_distribution(dist)).unwrap()
+    Machine::builder(nodes)
+        .test_profile()
+        .distribution(dist)
+        .launch()
+        .unwrap()
 }
 
 /// A machine whose every slot shortfall runs the §4.4 global protocol.
 fn global_machine_with(nodes: usize, dist: Distribution) -> Machine {
-    Machine::launch(
-        Pm2Config::test(nodes)
-            .with_distribution(dist)
-            .with_slot_trade(false),
-    )
-    .unwrap()
+    Machine::builder(nodes)
+        .test_profile()
+        .distribution(dist)
+        .slot_trade(false)
+        .launch()
+        .unwrap()
 }
 
 #[test]
@@ -128,11 +132,14 @@ fn negotiated_block_migrates_like_any_other() {
 #[test]
 fn out_of_slots_is_reported_not_wedged() {
     // Ask for more contiguous slots than the whole area has.
-    let mut m = Machine::launch(Pm2Config::test(2).with_area(AreaConfig {
-        slot_size: 65536,
-        n_slots: 16,
-    }))
-    .unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .area(AreaConfig {
+            slot_size: 65536,
+            n_slots: 16,
+        })
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     let r = m
         .run_on(0, move || pm2_isomalloc(32 * slot).map(|_| ()))

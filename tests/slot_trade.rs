@@ -7,7 +7,7 @@
 //! the hot path and the boundary between the two.
 
 use pm2::api::*;
-use pm2::{AreaConfig, Distribution, Machine, MachineMode, Pm2Config};
+use pm2::{AreaConfig, Distribution, Machine, Pm2Config};
 
 fn machine(cfg: Pm2Config) -> Machine {
     Machine::launch(cfg).unwrap()
@@ -41,7 +41,12 @@ fn trade_covers_shortfall_with_one_exchange_and_no_freeze() {
 fn trade_batch_amortizes_across_subsequent_allocations() {
     // The batch that rides the first trade covers later shortfalls: many
     // multi-slot allocations, O(1) trades.
-    let mut m = machine(Pm2Config::test(2).with_trade_batch(24));
+    let mut m = machine(
+        Machine::builder(2)
+            .test_profile()
+            .trade_batch(24)
+            .into_config(),
+    );
     let slot = m.area().slot_size();
     m.run_on(0, move || {
         let mut live = Vec::new();
@@ -72,9 +77,11 @@ fn concurrent_trades_from_three_starving_nodes_do_not_double_grant() {
     // — every slot owned by exactly one agent — must hold at quiescence,
     // and every thread's heap must verify structurally after the churn.
     let mut m = machine(
-        Pm2Config::test(4)
-            .with_distribution(Distribution::Partitioned)
-            .with_trade_batch(8),
+        Machine::builder(4)
+            .test_profile()
+            .distribution(Distribution::Partitioned)
+            .trade_batch(8)
+            .into_config(),
     );
     let slot = m.area().slot_size();
     let quarter = m.area().n_slots() / 4; // 64 slots per node
@@ -129,7 +136,10 @@ fn refused_trade_falls_back_to_global_negotiation() {
     // request falls through to the §4.4 protocol — whose NEG_BUYs ignore
     // watermarks, because it is the authority of last resort.
     let mut m = machine(
-        Pm2Config::test(2).with_slot_watermarks(1024, 1024), // 256-slot area: everyone is "poor"
+        Machine::builder(2)
+            .test_profile()
+            .slot_watermarks(1024, 1024)
+            .into_config(), // 256-slot area: everyone is "poor"
     );
     let slot = m.area().slot_size();
     m.run_on(0, move || {
@@ -180,9 +190,11 @@ fn watermark_prefetch_tops_up_the_reserve_asynchronously() {
     // reserve dips below the low watermark the driver prefetches a batch
     // from node 1 *before* the allocator ever blocks on a shortfall.
     let mut m = machine(
-        Pm2Config::test(2)
-            .with_distribution(Distribution::Partitioned)
-            .with_slot_watermarks(16, 48),
+        Machine::builder(2)
+            .test_profile()
+            .distribution(Distribution::Partitioned)
+            .slot_watermarks(16, 48)
+            .into_config(),
     );
     let slot = m.area().slot_size();
     let share = m.area().n_slots() / 2;
@@ -263,9 +275,11 @@ fn stacked_requesters_park_instead_of_spinning() {
     // (no spin-yield storm) and are woken FIFO — and typically satisfied
     // straight from the first requester's trade batch.
     let mut m = machine(
-        Pm2Config::test(2)
-            .with_mode(MachineMode::Deterministic)
-            .with_trade_batch(32),
+        Machine::builder(2)
+            .test_profile()
+            .deterministic()
+            .trade_batch(32)
+            .into_config(),
     );
     let slot = m.area().slot_size();
     let mut ts = Vec::new();
@@ -298,12 +312,14 @@ fn forced_global_still_handles_everything_trade_would() {
     // The slot_trade(false) baseline serves the same workload purely via
     // §4.4 — the fallback is a complete protocol, not a vestige.
     let mut m = machine(
-        Pm2Config::test(2)
-            .with_slot_trade(false)
-            .with_area(AreaConfig {
+        Machine::builder(2)
+            .test_profile()
+            .slot_trade(false)
+            .area(AreaConfig {
                 slot_size: 64 * 1024,
                 n_slots: 64,
-            }),
+            })
+            .into_config(),
     );
     let slot = m.area().slot_size();
     m.run_on(0, move || {
