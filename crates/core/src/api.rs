@@ -232,6 +232,10 @@ pub fn pm2_thread_location(tid: u64) -> Option<usize> {
 }
 
 /// Spawn a registered service on a (possibly remote) node — PM2's LRPC.
+///
+/// The service runs as a detached thread: it leaves no completion record,
+/// so joining its tid (what [`pm2_self_tid`] returns inside it) is
+/// unsupported.
 pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
     if node >= with_ctx(|c| c.n_nodes) {
         return Err(Pm2Error::NoSuchNode(node));
@@ -249,7 +253,9 @@ pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
 /// calling green thread (poll + yield, so this node keeps serving) until
 /// the response arrives or the configured reply deadline passes.
 ///
-/// The handler runs as a freshly spawned Marcel thread on `node`.  Errors
+/// The handler runs as a freshly spawned, detached Marcel thread on
+/// `node`: it leaves no completion record, so joining its tid is
+/// unsupported (the reply is the handler's only result).  Errors
 /// distinguish an unregistered service ([`Pm2Error::NoSuchService`]), an
 /// oversized request — checked locally — or response
 /// ([`Pm2Error::PayloadTooLarge`] / [`Pm2Error::Rpc`]), a handler panic

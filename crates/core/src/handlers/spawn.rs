@@ -6,7 +6,9 @@
 //! the dispatch core after `NEG_DONE`.  Typed-LRPC handlers spawn into the
 //! scheduler's **control lane** ([`marcel::thread::flags::CONTROL`]): a
 //! serving node crowded with compute threads still turns replies around
-//! promptly.
+//! promptly.  Both LRPC handler kinds spawn **detached**
+//! ([`marcel::thread::flags::DETACHED`]): their tids are node-assigned and
+//! no caller holds them, so they leave no completion record behind.
 
 use madeleine::message::PayloadReader;
 use madeleine::Message;
@@ -52,7 +54,12 @@ pub(crate) fn on_rpc_spawn(ctx: &mut NodeCtx, m: Message) {
         .get(service)
         .unwrap_or_else(|| panic!("service {service} not registered"));
     let tid = ctx.sched.next_tid();
-    ctx.spawn_boxed(tid, Box::new(move || f(args)));
+    ctx.try_spawn_boxed(
+        tid,
+        marcel::thread::flags::DETACHED,
+        Box::new(move || f(args)),
+    )
+    .expect("spawning thread");
 }
 
 pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
@@ -94,7 +101,7 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
     let tid = ctx.sched.next_tid();
     let spawned = ctx.try_spawn_boxed(
         tid,
-        marcel::thread::flags::CONTROL,
+        marcel::thread::flags::CONTROL | marcel::thread::flags::DETACHED,
         Box::new(move || {
             let (status, bytes) = match handler(&req) {
                 Ok(resp) if resp.len() <= max => (rpc_status::OK, resp),

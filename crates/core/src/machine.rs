@@ -354,7 +354,8 @@ impl Machine {
     }
 
     /// Spawn a registered byte-level service on `node` from the host
-    /// (fire and forget — PM2's original LRPC).
+    /// (fire and forget — PM2's original LRPC).  The service thread is
+    /// detached: joining its tid is unsupported.
     pub fn rpc_spawn(&self, node: usize, service: u32, args: &[u8]) -> Result<()> {
         if node >= self.cfg.nodes {
             return Err(Pm2Error::NoSuchNode(node));

@@ -5,7 +5,11 @@
 //!    we serialize its stack slot (metadata + live stack only) and each of
 //!    its heap slots (metadata + busy blocks only, the §6 optimization),
 //!    then unmap everything on the source node.  No bitmap changes: the
-//!    slots still belong to the thread.
+//!    slots still belong to the thread.  Unmapping erases what was not
+//!    packed (free-block payloads, the dead part of the stack); in the
+//!    default resident map strategy the erase reads every page and
+//!    rewrites only the dirty ones, so a thread pays for the pages it
+//!    wrote, not for the whole slot.
 //! 2. **Send** — the buffer crosses the Madeleine fabric.
 //! 3. **Adopt & unpack** — the destination maps the same slot ranges at the
 //!    same virtual addresses, copies the extents back, and enqueues the

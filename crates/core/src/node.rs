@@ -141,7 +141,8 @@ pub struct NodeStats {
     pub trains_in: AtomicU64,
     /// Total bytes of outgoing migration buffers.
     pub migration_bytes_out: AtomicU64,
-    /// Nanoseconds spent packing outgoing migrations (freeze & gather).
+    /// Nanoseconds spent packing outgoing migrations (freeze & gather),
+    /// including the source-side erase of the surrendered slots.
     pub migration_pack_ns: AtomicU64,
     /// Modelled wire nanoseconds charged for arriving migrations.
     pub migration_wire_ns: AtomicU64,
@@ -218,7 +219,8 @@ pub struct NodeStatsSnapshot {
     pub trains_in: u64,
     pub migration_bytes_out: u64,
     /// Per-stage migration cost, summed over this node's participations:
-    /// packing is paid by the source…
+    /// packing (with the erase of the surrendered slots) is paid by the
+    /// source…
     pub migration_pack_ns: u64,
     /// …wire time and unpacking by the destination.
     pub migration_wire_ns: u64,
@@ -1358,6 +1360,7 @@ impl NodeCtx {
             let tid = (*d).tid;
             let panicked = (*d).panicked == 1;
             let home = (*d).home_node as usize;
+            let detached = (*d).flags & marcel::thread::flags::DETACHED != 0;
             self.sched.note_gone();
             self.threads.remove(&tid);
             self.nodeheap.release_thread(tid);
@@ -1370,22 +1373,28 @@ impl NodeCtx {
                     .expect("releasing thread resources");
             }
             let note = self.exit_notes.remove(&tid).unwrap_or_default();
-            let exit = ThreadExit {
-                tid,
-                panicked,
-                died_on: self.node,
-                panic_msg: note.panic_msg,
-                value: note.value,
-                failed_node: None,
-            };
-            if home != self.node {
-                let _ = self.ep.send(
-                    home,
-                    tag::THREAD_EXIT,
-                    proto::encode_thread_exit(&self.pool, &exit),
-                );
+            if detached {
+                // No joiner can exist: forget the thread without leaving a
+                // completion record or notifying its home node.
+                self.registry.clear_location(tid);
+            } else {
+                let exit = ThreadExit {
+                    tid,
+                    panicked,
+                    died_on: self.node,
+                    panic_msg: note.panic_msg,
+                    value: note.value,
+                    failed_node: None,
+                };
+                if home != self.node {
+                    let _ = self.ep.send(
+                        home,
+                        tag::THREAD_EXIT,
+                        proto::encode_thread_exit(&self.pool, &exit),
+                    );
+                }
+                self.registry.complete(exit);
             }
-            self.registry.complete(exit);
         }
         self.maybe_ack_shutdown();
     }
@@ -1501,12 +1510,9 @@ impl NodeCtx {
 
     // -- spawn plumbing (shared by the spawn/rpc handlers and spawn_local) --
 
-    pub(crate) fn spawn_boxed(&mut self, tid: u64, f: Box<dyn FnOnce() + Send + 'static>) {
-        self.try_spawn_boxed(tid, 0, f).expect("spawning thread");
-    }
-
     /// Spawn with extra marcel descriptor flags (`flags::CONTROL` puts a
-    /// protocol handler into the scheduler's control lane from birth).
+    /// protocol handler into the scheduler's control lane from birth,
+    /// `flags::DETACHED` leaves no completion record at exit).
     pub(crate) fn try_spawn_boxed(
         &mut self,
         tid: u64,

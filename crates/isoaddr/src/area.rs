@@ -37,8 +37,12 @@ pub enum MapStrategy {
     /// uncommitted slots fault, exactly like the paper's system.
     Syscall,
     /// The whole area is committed read/write once at reservation; logical
-    /// commit is accounting only and logical decommit is accounting plus a
-    /// zero fill (preserving "a fresh commit reads zeroes").  This is the
+    /// commit is accounting only and logical decommit is accounting plus an
+    /// erase that leaves every byte zero (preserving "a fresh commit reads
+    /// zeroes").  The erase reads each page and writes only the pages that
+    /// hold a nonzero byte, so a departing thread's never-written stack
+    /// pages cost a read, not a rewrite, and untouched pages stay on the
+    /// kernel's zero page instead of becoming resident.  This is the
     /// paper's §6 mmap-avoidance taken to its limit and is the default for
     /// benchmarking.  Relaxation: stray reads of uncommitted slots return
     /// zeroes instead of faulting — the invariant checker still catches any
@@ -153,20 +157,17 @@ impl IsoArea {
 
     /// Atomically mark `range` as mapped; error if any slot already was.
     fn account_commit(&self, range: SlotRange) -> Result<()> {
-        // Set bits one word at a time, checking the previous value.  On
-        // conflict, roll back the bits we set and report the violation.
-        let mut done: Vec<(usize, u64)> = Vec::new();
+        // Set bits one slot at a time, checking the previous value.  On
+        // conflict, clear the bits this call set — exactly the slots before
+        // the conflicting one — and report the violation.
         for idx in range.iter() {
-            let word = idx / 64;
-            let bit = 1u64 << (idx % 64);
-            let prev = self.mapped[word].fetch_or(bit, Ordering::AcqRel);
-            if prev & bit != 0 {
-                for &(w, b) in &done {
-                    self.mapped[w].fetch_and(!b, Ordering::AcqRel);
+            let prev = self.mapped[idx / 64].fetch_or(slot_bit(idx), Ordering::AcqRel);
+            if prev & slot_bit(idx) != 0 {
+                for set in range.first..idx {
+                    self.mapped[set / 64].fetch_and(!slot_bit(set), Ordering::AcqRel);
                 }
                 return Err(IsoAddrError::DoubleCommit(range));
             }
-            done.push((word, bit));
         }
         self.committed.fetch_add(range.count, Ordering::Relaxed);
         Ok(())
@@ -175,10 +176,8 @@ impl IsoArea {
     /// Atomically mark `range` as unmapped; error if any slot wasn't mapped.
     fn account_decommit(&self, range: SlotRange) -> Result<()> {
         for idx in range.iter() {
-            let word = idx / 64;
-            let bit = 1u64 << (idx % 64);
-            let prev = self.mapped[word].fetch_and(!bit, Ordering::AcqRel);
-            if prev & bit == 0 {
+            let prev = self.mapped[idx / 64].fetch_and(!slot_bit(idx), Ordering::AcqRel);
+            if prev & slot_bit(idx) == 0 {
                 return Err(IsoAddrError::NotCommitted(range));
             }
         }
@@ -207,7 +206,16 @@ impl IsoArea {
         Ok(start)
     }
 
-    /// Decommit (drop pages, return to reserved state) the memory of `range`.
+    /// Decommit the memory of `range`: afterwards every byte of it reads
+    /// zero at the next commit.
+    ///
+    /// * [`MapStrategy::Syscall`] drops the pages (fresh `PROT_NONE`
+    ///   mapping, the paper's `munmap`).
+    /// * [`MapStrategy::Resident`] keeps the range mapped and erases it in
+    ///   place: each page is scanned a cache line at a time and zero-filled
+    ///   from its first nonzero line onwards; all-zero pages are only read.
+    ///   A thread's stack slot is mostly pages it never wrote, so this is
+    ///   what keeps the erase off a migration's critical path.
     pub fn decommit_slots(&self, range: SlotRange) -> Result<()> {
         if range.count == 0 || range.end() > self.cfg.n_slots {
             return Err(IsoAddrError::BadConfig(format!("bad slot range {range:?}")));
@@ -218,10 +226,8 @@ impl IsoArea {
             // SAFETY: accounting says we own the only mapping of the range.
             MapStrategy::Syscall => unsafe { sys::decommit(start, end - start) },
             MapStrategy::Resident => {
-                // Zero fill preserves "a fresh commit reads zeroes" without
-                // a page-table round trip.
                 // SAFETY: as above; the range stays mapped RW.
-                unsafe { std::ptr::write_bytes(start as *mut u8, 0, end - start) };
+                unsafe { zero_dirty_pages(start, end) };
                 Ok(())
             }
         }
@@ -229,10 +235,77 @@ impl IsoArea {
 
     /// Is slot `idx` currently committed (mapped) process-wide?
     pub fn is_committed(&self, idx: usize) -> bool {
-        let word = idx / 64;
-        let bit = 1u64 << (idx % 64);
-        self.mapped[word].load(Ordering::Acquire) & bit != 0
+        self.mapped[idx / 64].load(Ordering::Acquire) & slot_bit(idx) != 0
     }
+}
+
+/// Bit of slot `idx` within its word of [`IsoArea::mapped`].
+#[inline]
+fn slot_bit(idx: usize) -> u64 {
+    1u64 << (idx % 64)
+}
+
+/// Bytes read per step of the dirty-page scan: one cache line.
+const SCAN_LINE: usize = 64;
+
+/// One cache line, as the words the scan ORs together.
+type Line = [u64; SCAN_LINE / 8];
+
+/// Leave every byte of the page-aligned range `[start, end)` zero while
+/// writing only pages that hold a nonzero byte.  Each page is read one
+/// cache line at a time; a page that reads all zero is left alone, and a
+/// dirty one is zero-filled from its first nonzero line to its end (the
+/// lines before it read zero).
+///
+/// The page test ORs every line into a line-wide accumulator, a loop with
+/// no branch but its bound that compiles to a few vector loads and ORs
+/// per line; testing each line as it is read costs about twice as much
+/// on pages backed by the kernel's zero page, where most of a stack slot
+/// stays.  The helpers are written out word by word so unoptimized (test)
+/// builds make no iterator calls.
+///
+/// # Safety
+/// `[start, end)` must be mapped read/write and exclusively owned by the
+/// caller.
+unsafe fn zero_dirty_pages(start: VAddr, end: VAddr) {
+    let page = sys::page_size();
+    debug_assert!(start.is_multiple_of(page) && end.is_multiple_of(page));
+    let line_at = |addr: VAddr| &*(addr as *const Line);
+    let mut page_start = start;
+    while page_start < end {
+        let page_end = page_start + page;
+        let mut acc: Line = [0; SCAN_LINE / 8];
+        let mut line = page_start;
+        while line < page_end {
+            or_into(&mut acc, line_at(line));
+            line += SCAN_LINE;
+        }
+        if !is_zero(&acc) {
+            let mut line = page_start;
+            while is_zero(line_at(line)) {
+                line += SCAN_LINE;
+            }
+            std::ptr::write_bytes(line as *mut u8, 0, page_end - line);
+        }
+        page_start = page_end;
+    }
+}
+
+#[inline(always)]
+fn or_into(acc: &mut Line, l: &Line) {
+    acc[0] |= l[0];
+    acc[1] |= l[1];
+    acc[2] |= l[2];
+    acc[3] |= l[3];
+    acc[4] |= l[4];
+    acc[5] |= l[5];
+    acc[6] |= l[6];
+    acc[7] |= l[7];
+}
+
+#[inline(always)]
+fn is_zero(l: &Line) -> bool {
+    l[0] | l[1] | l[2] | l[3] | l[4] | l[5] | l[6] | l[7] == 0
 }
 
 impl Drop for IsoArea {
@@ -290,10 +363,15 @@ mod tests {
             a.commit_slots(SlotRange::new(10, 4)),
             Err(IsoAddrError::DoubleCommit(SlotRange::new(10, 4)))
         );
-        // Partial overlap; roll-back must leave non-overlapping part free.
+        // Partial overlap; roll-back must leave non-overlapping part free,
+        // whether the conflict is the first slot or follows slots this
+        // commit had already marked.
         assert!(a.commit_slots(SlotRange::new(13, 2)).is_err());
+        assert!(a.commit_slots(SlotRange::new(7, 4)).is_err());
+        assert!((7..10).all(|idx| !a.is_committed(idx)));
         a.commit_slots(SlotRange::new(14, 2)).unwrap();
-        assert_eq!(a.committed_slots(), 6);
+        a.commit_slots(SlotRange::new(7, 3)).unwrap();
+        assert_eq!(a.committed_slots(), 9);
     }
 
     #[test]
@@ -331,15 +409,28 @@ mod tests {
     /// Both strategies expose identical observable semantics.
     #[test]
     fn strategy_equivalence() {
+        let page = sys::page_size();
         for strategy in [MapStrategy::Syscall, MapStrategy::Resident] {
             let a = IsoArea::with_strategy(AreaConfig::small(), strategy).unwrap();
             assert_eq!(a.strategy(), strategy);
             let r = SlotRange::new(3, 2);
             let addr = a.commit_slots(r).unwrap();
+            let len = 2 * a.slot_size();
             unsafe {
                 // Fresh commit reads zero; writes stick.
                 assert_eq!((addr as *const u64).read(), 0, "{strategy:?}");
                 (addr as *mut u64).write(0xA5A5);
+                // Dirty every third page at its first word, its last word
+                // or both (the rest of those pages, and every other page,
+                // stays untouched): the erase must find either end.
+                for (k, p) in (page..len).step_by(3 * page).enumerate() {
+                    if k % 3 != 1 {
+                        ((addr + p) as *mut u64).write(0x5A5A);
+                    }
+                    if k % 3 != 0 {
+                        ((addr + p + page - 8) as *mut u64).write(0x5A5A);
+                    }
+                }
             }
             // Double commit detected identically.
             assert!(matches!(
@@ -349,9 +440,12 @@ mod tests {
             a.decommit_slots(r).unwrap();
             // Decommit of unmapped detected identically.
             assert!(a.decommit_slots(r).is_err());
-            // Recommit reads zero again (pages dropped / zero-filled).
+            // Recommit reads zero again, every byte (pages dropped /
+            // erased).
             let addr = a.commit_slots(r).unwrap();
-            unsafe { assert_eq!((addr as *const u64).read(), 0, "{strategy:?}") };
+            let bytes = unsafe { std::slice::from_raw_parts(addr as *const u8, len) };
+            let dirty = bytes.iter().position(|&b| b != 0);
+            assert_eq!(dirty, None, "{strategy:?}: nonzero byte after decommit");
             a.decommit_slots(r).unwrap();
             assert_eq!(a.committed_slots(), 0);
         }

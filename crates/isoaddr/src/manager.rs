@@ -258,7 +258,12 @@ impl NodeSlotManager {
     }
 
     /// Unmap a migrating thread's slots on departure.  Ownership stays with
-    /// the thread; no bitmap is touched (paper §4.2).
+    /// the thread; no bitmap is touched (paper §4.2).  The range is
+    /// decommitted, so whatever the train did not carry is gone when the
+    /// thread lands; under [`MapStrategy::Resident`] that erase writes
+    /// only the pages the thread dirtied (see [`IsoArea::decommit_slots`]).
+    ///
+    /// [`MapStrategy::Resident`]: crate::MapStrategy::Resident
     pub fn surrender(&mut self, range: SlotRange) -> Result<()> {
         debug_assert!(
             self.bitmap.all_clear(range),

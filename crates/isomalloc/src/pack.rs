@@ -368,6 +368,44 @@ mod tests {
         }
     }
 
+    /// Transparency has two halves: what the train carries arrives intact,
+    /// and what it does not carry is gone.  A freed block's payload was
+    /// never shipped, so after the hop it must read zero at the same
+    /// address even though it was dirty when the thread left.
+    #[test]
+    fn freed_payload_is_erased_by_the_hop() {
+        let area = Arc::new(IsoArea::new(AreaConfig::small()).unwrap());
+        let mut m0 = NodeSlotManager::new(0, 2, Arc::clone(&area), Distribution::RoundRobin, 0);
+        let mut m1 = NodeSlotManager::new(1, 2, Arc::clone(&area), Distribution::RoundRobin, 0);
+        let mut h: Box<IsoHeapState> = Box::new(unsafe { std::mem::zeroed() });
+        unsafe {
+            heap_init(h.as_mut(), FitPolicy::FirstFit, false);
+            let (dead_len, live_len) = (6000, 700);
+            let dead = isomalloc(h.as_mut(), &mut m0, dead_len).unwrap();
+            let live = isomalloc(h.as_mut(), &mut m0, live_len).unwrap();
+            std::ptr::write_bytes(dead, 0xD5, dead_len);
+            std::ptr::write_bytes(live, 0x3C, live_len);
+            isofree(h.as_mut(), &mut m0, dead).unwrap();
+            let dead_bytes = || std::slice::from_raw_parts(dead as *const u8, dead_len);
+            assert!(dead_bytes().contains(&0xD5), "free must not erase");
+            let (base, n) = heap_slots(h.as_ref())[0];
+            let mut buf = Vec::new();
+            pack_heap_slot(base, m0.slot_size(), &mut buf).unwrap();
+            let range = SlotRange::new((base - area.base()) / m0.slot_size(), n);
+            m0.surrender(range).unwrap();
+            assert_eq!(m1.adopt(range).unwrap(), base);
+            unpack_into_mapped(&buf, m1.slot_size()).unwrap();
+            verify_heap(h.as_ref(), m1.slot_size()).unwrap();
+            let stale = dead_bytes().iter().position(|&b| b != 0);
+            assert_eq!(stale, None, "uncarried bytes survived the hop");
+            let live_bytes = std::slice::from_raw_parts(live as *const u8, live_len);
+            assert!(
+                live_bytes.iter().all(|&b| b == 0x3C),
+                "live block clobbered"
+            );
+        }
+    }
+
     /// The occupancy hint must upper-bound the real record size (no
     /// regrowth mid-pack) without grossly over-reserving.
     #[test]

@@ -104,6 +104,12 @@ pub mod flags {
     /// request/reply exchanges.  The flag travels with the descriptor, so
     /// priority survives migration.
     pub const CONTROL: u32 = 2;
+    /// Nobody can join the thread: its tid was assigned by the node that
+    /// runs it and handed to no caller (LRPC handler threads).  The runtime
+    /// keeps no completion record for it, so serving calls does not grow
+    /// the completion registry.  Joining such a tid is unsupported: no
+    /// completion ever arrives, so an untimed join never returns.
+    pub const DETACHED: u32 = 4;
 }
 
 /// The thread descriptor.  Lives inside the stack slot; every pointer field

@@ -288,6 +288,42 @@ fn rpc_from_every_node_to_every_node() {
 }
 
 #[test]
+fn lrpc_handlers_leave_no_completion_records() {
+    // Handler threads are detached: their tids are node-assigned and held
+    // by no caller, so serving must not grow the completion registry.
+    const CALLS: usize = 10_000;
+    const SPAWNS: usize = 200;
+    let m = test_machine(3);
+    m.register(Echo);
+    let (tx, rx) = std::sync::mpsc::channel::<()>();
+    m.register_service(9, move |_| tx.send(()).unwrap());
+    let before = m.registry().completed_count();
+    let served = m
+        .run_on(0, || {
+            (0..CALLS)
+                .filter(|&i| {
+                    let req = vec![i as u8; 1 + i % 64];
+                    pm2_rpc_call::<Echo>(1 + i % 2, req.clone()).unwrap() == req
+                })
+                .count()
+        })
+        .unwrap();
+    assert_eq!(served, CALLS);
+    for i in 0..SPAWNS {
+        m.rpc_spawn(i % 3, 9, b"").unwrap();
+    }
+    for _ in 0..SPAWNS {
+        rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    }
+    let grown = m.registry().completed_count() - before;
+    // The run_on thread itself leaves one record; handlers leave none.
+    assert!(
+        grown <= 4,
+        "{grown} records after {CALLS} calls and {SPAWNS} spawns"
+    );
+}
+
+#[test]
 fn typed_join_consumes_the_value_once() {
     // The value bytes leave the registry on the first typed join; neither
     // a second join nor the trailing cross-node THREAD_EXIT message may
