@@ -22,6 +22,22 @@
 //! * A ring landing while the node runs flips it `Running → Notified`;
 //!   the worker's park attempt (`Running → Idle`) then fails and requeues
 //!   instead — the wakeup is deferred, never dropped.
+//! * **Wake-ups go to work a sleeping worker would actually get.**  A
+//!   push made by a node's driver code in the middle of a dispatch (a
+//!   departing thread's train ringing its destination, a message
+//!   answered from the pump, a node requeueing itself) wakes no peer at
+//!   once: that worker returns to the queue as soon as its node runs
+//!   dry, and on a chain of single hops it takes the entry itself long
+//!   before a woken peer could.  Waking one anyway costs a futex syscall
+//!   — and on a virtual machine an inter-processor interrupt to a halted
+//!   vCPU — on every hop, for a peer that almost always finds the queue
+//!   empty again.  The wake is owed, not dropped: it is paid between
+//!   steps if the dispatch goes on (its node still has ready threads or
+//!   messages), and a worker that pops an entry and leaves more behind
+//!   wakes a sleeping peer for them.  Pushes from inside a green thread
+//!   (whose quantum may run on for any time), from the host or from the
+//!   tick sweep wake a sleeper immediately, and no push signals a condvar
+//!   nobody waits on.
 //! * **Step budget**: a worker steps one node at most `budget` times per
 //!   dispatch, then swaps it to the *tail* of the queue.  Threaded
 //!   machines use [`FAIRNESS`], so one flooded node costs every quiet node
@@ -47,6 +63,7 @@
 //! safely — `NodeCtx::activate` rebinds the TLS pointers on every
 //! dispatch, and marcel caches nothing across context switches.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -67,6 +84,22 @@ const DONE: u8 = 4;
 /// most `FAIRNESS × pump_budget` messages plus `FAIRNESS` thread quanta.
 pub(crate) const FAIRNESS: usize = 32;
 
+thread_local! {
+    /// The pool whose node this OS thread is dispatching, if any: pushes
+    /// into that pool owe a wake-up instead of making one (module docs).
+    static DISPATCHING: Cell<*const Inner> = const { Cell::new(std::ptr::null()) };
+    /// A push during the current dispatch left a wake-up unpaid.
+    static WAKE_OWED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The ready queue and the workers blocked waiting on it.
+struct Ready {
+    queue: VecDeque<usize>,
+    /// Workers parked in `cv.wait_timeout`: with none, a notify would be
+    /// a wasted futex syscall.
+    sleeping: usize,
+}
+
 struct Inner {
     /// One slot per node.  The mutex is uncontended by construction (the
     /// state machine admits one runner); it exists to make cross-worker
@@ -76,7 +109,7 @@ struct Inner {
     /// Shared handles on each node's stats, so state transitions can count
     /// parks/wakeups without locking the node.
     stats: Vec<Arc<NodeStats>>,
-    ready: Mutex<VecDeque<usize>>,
+    ready: Mutex<Ready>,
     cv: Condvar,
     /// Nodes not yet `Done`; at zero the pool drains and exits.
     live: AtomicUsize,
@@ -94,9 +127,24 @@ struct Inner {
 
 impl Inner {
     fn push(&self, id: usize) {
-        let mut q = self.ready.lock().unwrap();
-        q.push_back(id);
-        self.cv.notify_one();
+        let mut r = self.ready.lock().unwrap();
+        r.queue.push_back(id);
+        if std::ptr::eq(DISPATCHING.get(), self) && !marcel::in_thread() {
+            WAKE_OWED.set(true);
+        } else if r.sleeping > 0 {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Pay a wake-up owed by this dispatch: the dispatch is going on, so
+    /// queued work would otherwise wait for it.
+    fn pay_owed_wake(&self) {
+        if WAKE_OWED.replace(false) {
+            let r = self.ready.lock().unwrap();
+            if !r.queue.is_empty() && r.sleeping > 0 {
+                self.cv.notify_one();
+            }
+        }
     }
 
     /// Doorbell listener body: route a ring on `id`'s bell into the ready
@@ -187,6 +235,9 @@ impl Inner {
             if !worked {
                 break;
             }
+            if ctx.has_pending_work() || self.states[id].load(Ordering::SeqCst) == NOTIFIED {
+                self.pay_owed_wake();
+            }
         }
         ctx.maybe_ack_shutdown();
         if ctx.finished() {
@@ -194,7 +245,7 @@ impl Inner {
             drop(ctx);
             if self.live.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // Last node retired: wake every parked worker to exit.
-                let _q = self.ready.lock().unwrap();
+                let _r = self.ready.lock().unwrap();
                 self.cv.notify_all();
             }
             return;
@@ -228,23 +279,32 @@ impl Inner {
     fn worker_loop(self: &Arc<Inner>) {
         loop {
             let popped = {
-                let mut q = self.ready.lock().unwrap();
+                let mut r = self.ready.lock().unwrap();
                 loop {
                     if self.live.load(Ordering::SeqCst) == 0 {
                         return;
                     }
-                    if let Some(id) = q.pop_front() {
+                    if let Some(id) = r.queue.pop_front() {
+                        if !r.queue.is_empty() && r.sleeping > 0 {
+                            // More than this worker can take: pass it on.
+                            self.cv.notify_one();
+                        }
                         break Some(id);
                     }
                     let wait = self.until_tick();
                     if wait.is_zero() {
                         break None;
                     }
-                    q = self.cv.wait_timeout(q, wait).unwrap().0;
+                    r.sleeping += 1;
+                    r = self.cv.wait_timeout(r, wait).unwrap().0;
+                    r.sleeping -= 1;
                 }
             };
             if let Some(id) = popped {
+                DISPATCHING.set(Arc::as_ptr(self));
                 self.run_node(id);
+                DISPATCHING.set(std::ptr::null());
+                WAKE_OWED.set(false);
             }
             self.tick_sweep();
         }
@@ -271,7 +331,10 @@ pub(crate) fn spawn_pool(
         nodes: ctxs.into_iter().map(Mutex::new).collect(),
         states: (0..n).map(|_| AtomicU8::new(QUEUED)).collect(),
         stats,
-        ready: Mutex::new((0..n).collect()),
+        ready: Mutex::new(Ready {
+            queue: (0..n).collect(),
+            sleeping: 0,
+        }),
         cv: Condvar::new(),
         live: AtomicUsize::new(n),
         budget: budget.max(1),

@@ -1229,6 +1229,12 @@ impl NodeCtx {
         self.inbox.iter().any(|lane| !lane.is_empty())
     }
 
+    /// Will the next step find work: a ready thread or an ingested
+    /// message?  (Messages still on the wire ring the doorbell instead.)
+    pub(crate) fn has_pending_work(&self) -> bool {
+        self.sched.has_ready() || self.inbox_pending()
+    }
+
     /// Ingest and handle pending messages — control class first, then
     /// migration, then data, at most `pump_budget` of them — and return
     /// whether any were handled.  Budget leftovers stay queued for the

@@ -26,7 +26,7 @@ pub mod thread;
 pub use ctx::Context;
 pub use error::SpawnError;
 pub use sched::{
-    block_current, current_desc, current_node, current_tid, exit_current, migrate_self,
+    block_current, current_desc, current_node, current_tid, exit_current, in_thread, migrate_self,
     release_thread_resources, yield_now, DescPtr, RunOutcome, Scheduler,
 };
 pub use thread::{

@@ -34,6 +34,9 @@ pub type DescPtr = *mut ThreadDescriptor;
 
 thread_local! {
     static CURRENT_SCHED: Cell<*mut SchedInner> = const { Cell::new(std::ptr::null_mut()) };
+    /// Set while this OS thread runs a Marcel thread: from the switch into
+    /// it in [`Scheduler::run_one`] to the switch back.
+    static IN_THREAD: Cell<bool> = const { Cell::new(false) };
 }
 
 /// What a completed [`Scheduler::run_one`] step observed.
@@ -352,10 +355,12 @@ impl Scheduler {
             }
             (*d).state = ThreadState::Running as u32;
             (*inner).current = d;
+            IN_THREAD.with(|t| t.set(true));
             marcel_ctx_switch(
                 std::ptr::addr_of_mut!((*inner).sched_ctx),
                 std::ptr::addr_of!((*d).ctx),
             );
+            IN_THREAD.with(|t| t.set(false));
             (*inner).current = std::ptr::null_mut();
             debug_assert!((*d).canary_ok(), "stack overflow on tid {:#x}", (*d).tid);
             let outcome = match (*d).switch_reason {
@@ -437,6 +442,14 @@ fn cur_inner() -> *mut SchedInner {
         "marcel API called outside a scheduler-driven thread"
     );
     p
+}
+
+/// Is the caller a Marcel thread, as opposed to a scheduler's own code
+/// (its driver, between quanta) or an OS thread with no scheduler?
+/// Re-reads TLS on every call, like [`current_node`].
+#[inline(never)]
+pub fn in_thread() -> bool {
+    IN_THREAD.with(Cell::get)
 }
 
 /// Descriptor of the calling Marcel thread.

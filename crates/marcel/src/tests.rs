@@ -52,6 +52,37 @@ fn spawn_runs_to_completion() {
 }
 
 #[test]
+fn in_thread_is_true_only_inside_a_marcel_thread() {
+    let (_area, mut mgrs) = rig(1);
+    let s = Scheduler::new(0);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen2 = Arc::clone(&seen);
+    s.spawn(&mut mgrs[0], move || {
+        seen2.lock().unwrap().push(crate::in_thread());
+        yield_now();
+        seen2.lock().unwrap().push(crate::in_thread());
+    })
+    .unwrap();
+    assert!(!crate::in_thread(), "no scheduler on this OS thread yet");
+    s.activate();
+    let mut between = Vec::new();
+    while let Some(outcome) = s.run_one() {
+        // The driver, between quanta, is not a Marcel thread.
+        between.push(crate::in_thread());
+        match outcome {
+            RunOutcome::Yielded(d) => unsafe { s.requeue(d) },
+            RunOutcome::Exited(d) => unsafe {
+                s.note_gone();
+                crate::release_thread_resources(d, &mut mgrs[0]).unwrap();
+            },
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+    }
+    assert_eq!(*seen.lock().unwrap(), [true, true]);
+    assert_eq!(between, [false, false]);
+}
+
+#[test]
 fn stack_slot_is_released_on_exit() {
     let (area, mut mgrs) = rig(1);
     let s = Scheduler::new(0);

@@ -217,6 +217,46 @@ fn migration_hops_are_not_poll_bound() {
 }
 
 #[test]
+fn ring_from_a_green_thread_wakes_an_idle_worker_at_once() {
+    // Pushes made by a node's driver code owe their wake-up until the
+    // dispatch ends; pushes made inside a green thread must not, because
+    // its quantum can run on for any time.  Node 0's thread hands node 1
+    // work and then spins without yielding until that work has run, which
+    // only the second worker can do meanwhile.  Held back, the wake would
+    // wait for the idle-park tick (5 s here).
+    static RAN: AtomicBool = AtomicBool::new(false);
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        .workers(2)
+        .idle_park(Duration::from_secs(5))
+        .launch()
+        .unwrap();
+    m.register_service(7, |_| RAN.store(true, Ordering::SeqCst));
+    // Let both workers reach their parks first.
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    m.run_on(0, || {
+        pm2_rpc_spawn(1, 7, b"").unwrap();
+        let t = Instant::now();
+        while !RAN.load(Ordering::SeqCst) && t.elapsed() < Duration::from_secs(10) {
+            std::hint::spin_loop();
+        }
+    })
+    .unwrap();
+    assert!(
+        RAN.load(Ordering::SeqCst),
+        "node 1 never ran the spawned work"
+    );
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "node 1 waited {:?} for a worker",
+        t0.elapsed()
+    );
+    m.shutdown();
+}
+
+#[test]
 fn busy_node_does_not_starve_idle_node_timers() {
     // Node 0 yield-spins, so the ready queue is never empty; the idle
     // nodes' gossip timers must still fire every heartbeat.  p = 4 with a
