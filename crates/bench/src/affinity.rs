@@ -20,9 +20,9 @@
 //!   with the service when the load guard allows, but must never thrash).
 //!
 //! Each run warms up until the balancer converges, then measures a
-//! steady-state window after `Machine::stats_reset`, reporting ops/s,
-//! the remote-vs-local RPC message ratio, and the balancer's own
-//! counters (moves, affinity moves, probes saved).
+//! steady-state window (the difference of two node-counter snapshots),
+//! reporting ops/s, the remote-vs-local RPC message ratio, and the
+//! balancer's own counters (moves, affinity moves, probes saved).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use pm2::api::{pm2_rpc_call, pm2_thread_location, pm2_yield};
 use pm2::loadbal::BalancerConfig;
+use pm2::node::NodeStatsSnapshot;
 use pm2::{Machine, NetProfile};
 use pm2_workload::{register_services, Echo};
 
@@ -81,7 +82,10 @@ fn launch(p: usize) -> Machine {
 }
 
 fn balancer_cfg(affinity: bool) -> BalancerConfig {
-    BalancerConfig::default().with_affinity(affinity)
+    BalancerConfig {
+        affinity,
+        ..BalancerConfig::default()
+    }
 }
 
 /// Shared state of one looping caller thread.
@@ -148,20 +152,15 @@ fn run_callers(
     let bal = pm2::loadbal::start_balancer(m, balancer_cfg(affinity)).expect("balancer");
     start.store(true, Ordering::Release);
 
+    let node_totals = || (0..p).map(|n| m.node_stats(n)).sum::<NodeStatsSnapshot>();
     std::thread::sleep(WARMUP);
-    m.stats_reset();
+    let before = node_totals();
     let ops0 = ops.load(Ordering::Relaxed);
     let t0 = Instant::now();
     std::thread::sleep(MEASURE);
     let window_ops = ops.load(Ordering::Relaxed) - ops0;
     let elapsed = t0.elapsed().as_secs_f64();
-    let (mut local, mut remote, mut migs) = (0u64, 0u64, 0u64);
-    for node in 0..p {
-        let s = m.node_stats(node);
-        local += s.rpc_local;
-        remote += s.rpc_remote;
-        migs += s.migrations_in;
-    }
+    let window = node_totals().since(&before);
 
     run.store(false, Ordering::Relaxed);
     for t in threads {
@@ -170,7 +169,6 @@ fn run_callers(
     let (moves, aff_moves, probes_saved) = (bal.moves(), bal.affinity_moves(), bal.probes_saved());
     bal.stop(m);
 
-    let total = local + remote;
     AffinityOutcome {
         scenario,
         p,
@@ -178,14 +176,10 @@ fn run_callers(
         ops: window_ops,
         elapsed_s: elapsed,
         ops_per_sec: window_ops as f64 / elapsed,
-        rpc_local: local,
-        rpc_remote: remote,
-        remote_ratio: if total == 0 {
-            0.0
-        } else {
-            remote as f64 / total as f64
-        },
-        migrations: migs,
+        rpc_local: window.rpc_local,
+        rpc_remote: window.rpc_remote,
+        remote_ratio: window.remote_ratio(),
+        migrations: window.migrations_in,
         balancer_moves: moves,
         affinity_moves: aff_moves,
         probes_saved,

@@ -143,26 +143,26 @@ pub fn migration_breakdown(net: NetProfile, payload: usize, hops: usize) -> Migr
             us
         })
         .expect("pingpong");
-    let (s0, s1) = (m.node_stats(0), m.node_stats(1));
-    let migrations = (s0.migrations_out + s1.migrations_out).max(1);
+    let s = m.node_stats(0) + m.node_stats(1);
+    let pool = m.pool_stats(0) + m.pool_stats(1);
+    let migrations = s.migrations_out.max(1);
     let per_us = |ns: u64| (ns as f64 / migrations as f64) / 1000.0;
     let one_way_us = total_us / hops as f64;
-    let (p0, p1) = (m.pool_stats(0), m.pool_stats(1));
     m.shutdown();
     MigrationBreakdown {
         hops,
         payload,
         one_way_us,
-        pack_us: per_us(s0.migration_pack_ns + s1.migration_pack_ns),
-        wire_us: per_us(s0.migration_wire_ns + s1.migration_wire_ns),
-        unpack_us: per_us(s0.migration_unpack_ns + s1.migration_unpack_ns),
-        bytes_per_migration: (s0.migration_bytes_out + s1.migration_bytes_out) / migrations,
+        pack_us: per_us(s.migration_pack_ns),
+        wire_us: per_us(s.migration_wire_ns),
+        unpack_us: per_us(s.migration_unpack_ns),
+        bytes_per_migration: s.migration_bytes_out / migrations,
         migrations_per_sec: 1.0e6 / one_way_us,
-        pool_allocs: p0.allocs + p1.allocs,
-        pool_reuses: p0.reuses + p1.reuses,
-        driver_parks: s0.driver_parks + s1.driver_parks,
-        driver_wakeups: s0.driver_wakeups + s1.driver_wakeups,
-        steps: s0.steps + s1.steps,
+        pool_allocs: pool.allocs,
+        pool_reuses: pool.reuses,
+        driver_parks: s.driver_parks,
+        driver_wakeups: s.driver_wakeups,
+        steps: s.steps,
     }
 }
 

@@ -37,12 +37,14 @@
 //! auto-sized pool (≪ p on any host), so p = 256 machines on a handful of
 //! cores is the measurement, not an aspiration.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm2::api::*;
-use pm2::{AreaConfig, Machine, NetProfile};
+use pm2::node::NodeStatsSnapshot;
+use pm2::{AreaConfig, EndpointStatsSnapshot, Machine, NetProfile};
 use pm2_workload::{register_services, run_ramp, RampConfig, WorkloadSpec};
 
 /// The tracked machine sizes.
@@ -110,20 +112,11 @@ fn launch(p: usize) -> Machine {
     Machine::launch(cfg).expect("launch")
 }
 
-/// Sum (steps, driver_parks) over a node range.
-fn steps_parks(m: &Machine, nodes: std::ops::Range<usize>) -> (u64, u64) {
-    nodes.fold((0, 0), |(s, k), n| {
-        let st = m.node_stats(n);
-        (s + st.steps, k + st.driver_parks)
-    })
-}
-
-/// Sum endpoint messages sent over a node range.
-fn msgs_sent(m: &Machine, nodes: std::ops::Range<usize>) -> u64 {
-    nodes
-        .filter_map(|n| m.net_stats(n))
-        .map(|s| s.msgs_sent)
-        .sum()
+/// Node and endpoint counters summed over a node range; a drill's cost
+/// is the difference of two readings.
+fn totals(m: &Machine, nodes: Range<usize>) -> (NodeStatsSnapshot, EndpointStatsSnapshot) {
+    let stats = nodes.clone().map(|n| m.node_stats(n)).sum();
+    (stats, nodes.filter_map(|n| m.net_stats(n)).sum())
 }
 
 /// Measure one machine size end to end.
@@ -135,20 +128,17 @@ pub fn scale_row(p: usize) -> ScaleRow {
 
     // -- idle: per-node background cost in a quiet window ------------------
     std::thread::sleep(Duration::from_millis(300)); // settle gossip/detector
-    m.stats_reset();
-    let msgs0 = msgs_sent(&m, 0..p);
+    let (stats0, net0) = totals(&m, 0..p);
     let window = Duration::from_millis(700);
     std::thread::sleep(window);
-    let (steps, _) = steps_parks(&m, 0..p);
-    let msgs = msgs_sent(&m, 0..p) - msgs0;
+    let (stats, net) = totals(&m, 0..p);
     let per_node_s = 1.0 / (window.as_secs_f64() * p as f64);
-    let idle_steps_per_node_s = steps as f64 * per_node_s;
-    let idle_msgs_per_node_s = msgs as f64 * per_node_s;
+    let idle_steps_per_node_s = stats.since(&stats0).steps as f64 * per_node_s;
+    let idle_msgs_per_node_s = net.since(&net0).msgs_sent as f64 * per_node_s;
 
     eprintln!("scale [p={p}]: hop drill");
     // -- hop: 0 ↔ 1 ping-pong migration ------------------------------------
-    m.stats_reset();
-    let msgs0 = msgs_sent(&m, 0..2);
+    let (stats0, net0) = totals(&m, 0..2);
     let t0 = Instant::now();
     m.run_on(0, || {
         for _ in 0..HOP_PAIRS {
@@ -159,14 +149,16 @@ pub fn scale_row(p: usize) -> ScaleRow {
     .expect("hop workload");
     let ops = (2 * HOP_PAIRS) as f64;
     let hop_us = t0.elapsed().as_secs_f64() * 1e6 / ops;
-    let (steps, parks) = steps_parks(&m, 0..2);
-    let hop_steps_per_op = steps as f64 / ops;
-    let hop_parks_per_op = parks as f64 / ops;
-    let hop_msgs_per_op = (msgs_sent(&m, 0..2) - msgs0) as f64 / ops;
+    let (stats, net) = totals(&m, 0..2);
+    let hop = stats.since(&stats0);
+    let hop_steps_per_op = hop.steps as f64 / ops;
+    let hop_parks_per_op = hop.driver_parks as f64 / ops;
+    let hop_msgs_per_op = net.since(&net0).msgs_sent as f64 / ops;
 
     eprintln!("scale [p={p}]: evacuation drill");
     // -- evacuation: drain 64 threads off node 0 ---------------------------
     let stop = Arc::new(AtomicBool::new(false));
+    let spawns0 = m.node_stats(0).spawns;
     let mut evacuees = Vec::new();
     for _ in 0..SCALE_EVAC_THREADS {
         let stop = Arc::clone(&stop);
@@ -181,19 +173,18 @@ pub fn scale_row(p: usize) -> ScaleRow {
     }
     let tids: Vec<u64> = evacuees.iter().map(|w| w.tid).collect();
     let spawn_t0 = Instant::now();
-    while m.node_stats(0).spawns < SCALE_EVAC_THREADS as u64 {
+    while m.node_stats(0).spawns - spawns0 < SCALE_EVAC_THREADS as u64 {
         std::thread::sleep(Duration::from_millis(1));
         if spawn_t0.elapsed() > Duration::from_secs(5) {
             eprintln!(
                 "scale [p={p}]: still waiting on spawns: {}/{SCALE_EVAC_THREADS}",
-                m.node_stats(0).spawns
+                m.node_stats(0).spawns - spawns0
             );
             std::thread::sleep(Duration::from_secs(1));
         }
     }
     eprintln!("scale [p={p}]: evacuees spawned, migrating");
-    m.stats_reset();
-    let msgs0 = msgs_sent(&m, 0..4);
+    let (stats0, net0) = totals(&m, 0..4);
     let t0 = Instant::now();
     m.run_on(1, move || {
         pm2_set_control_priority(true);
@@ -210,9 +201,9 @@ pub fn scale_row(p: usize) -> ScaleRow {
     })
     .expect("evacuator");
     let evac_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (steps, _) = steps_parks(&m, 0..4);
-    let evac_steps_per_op = steps as f64 / SCALE_EVAC_THREADS as f64;
-    let evac_msgs_per_op = (msgs_sent(&m, 0..4) - msgs0) as f64 / SCALE_EVAC_THREADS as f64;
+    let (stats, net) = totals(&m, 0..4);
+    let evac_steps_per_op = stats.since(&stats0).steps as f64 / SCALE_EVAC_THREADS as f64;
+    let evac_msgs_per_op = net.since(&net0).msgs_sent as f64 / SCALE_EVAC_THREADS as f64;
     stop.store(true, Ordering::SeqCst);
     for w in evacuees {
         m.join(w);
@@ -262,13 +253,12 @@ pub fn scale_row(p: usize) -> ScaleRow {
     while !warmed.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(1));
     }
-    m.stats_reset();
-    let msgs0 = msgs_sent(&m, 0..1);
+    let (stats0, net0) = totals(&m, 0..1);
     go.store(true, Ordering::SeqCst);
     let neg_us = negotiator.join().expect("negotiation workload");
-    let (steps, _) = steps_parks(&m, 0..1);
-    let neg_msgs_per_op = (msgs_sent(&m, 0..1) - msgs0) as f64 / NEG_ROUNDS as f64;
-    let neg_steps_per_op = steps as f64 / NEG_ROUNDS as f64;
+    let (stats, net) = totals(&m, 0..1);
+    let neg_msgs_per_op = net.since(&net0).msgs_sent as f64 / NEG_ROUNDS as f64;
+    let neg_steps_per_op = stats.since(&stats0).steps as f64 / NEG_ROUNDS as f64;
 
     eprintln!("scale [p={p}]: workload ramp");
     // -- workload: SLO-gated max sustainable RPS ---------------------------

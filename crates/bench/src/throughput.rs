@@ -104,11 +104,11 @@ pub fn report_row(r: &CapacityReport) -> String {
                 rd.machine.steps,
                 rd.machine.driver_parks,
                 rd.machine.spawns,
-                rd.machine.migrations,
-                rd.machine.trains,
+                rd.machine.migrations_out,
+                rd.machine.trains_out,
                 rd.machine.trades,
-                rd.machine.pool_allocs,
-                rd.machine.pool_reuses,
+                rd.pool.allocs,
+                rd.pool.reuses,
                 rd.verdict.label()
             )
         })

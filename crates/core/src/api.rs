@@ -214,7 +214,7 @@ where
 
 /// Record one RPC-shaped message the calling green thread exchanged with
 /// `peer`: bumps the thread's top-k affinity table (which migrates with
-/// it) and the node-level aggregate row behind `Machine::affinity`.
+/// it) and the node's `rpc_local`/`rpc_remote` counters.
 pub(crate) fn note_rpc_traffic(peer: usize) {
     let d = marcel::current_desc();
     // SAFETY: own descriptor; the pump is not running.
@@ -235,10 +235,13 @@ pub fn pm2_thread_location(tid: u64) -> Option<usize> {
 ///
 /// The service runs as a detached thread: it leaves no completion record,
 /// so joining its tid (what [`pm2_self_tid`] returns inside it) is
-/// unsupported.
+/// unsupported.  An unregistered `service` is [`Pm2Error::NoSuchService`].
 pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
     if node >= with_ctx(|c| c.n_nodes) {
         return Err(Pm2Error::NoSuchNode(node));
+    }
+    if with_ctx(|c| c.services.get(service).is_none()) {
+        return Err(Pm2Error::NoSuchService(service));
     }
     note_rpc_traffic(node);
     let pool = local_pool();

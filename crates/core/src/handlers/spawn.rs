@@ -48,18 +48,29 @@ pub(crate) fn on_rpc_spawn(ctx: &mut NodeCtx, m: Message) {
         ctx.deferred.push_back(m);
         return;
     }
-    let (service, args) = proto::decode_rpc_spawn(&m.payload).expect("rpc payload");
-    let f = ctx
-        .services
-        .get(service)
-        .unwrap_or_else(|| panic!("service {service} not registered"));
+    // Fire and forget: nobody waits on a reply, so a request this node
+    // cannot serve is dropped with one output line, never a panic that
+    // would take the node's driver down.
+    let Some((service, args)) = proto::decode_rpc_spawn(&m.payload) else {
+        ctx.out
+            .printf(ctx.node, "rpc_spawn: dropped a malformed request");
+        return;
+    };
+    let Some(f) = ctx.services.get(service) else {
+        let text = format!("rpc_spawn: dropped a request for unregistered service {service:#x}");
+        ctx.out.printf(ctx.node, &text);
+        return;
+    };
     let tid = ctx.sched.next_tid();
-    ctx.try_spawn_boxed(
+    let spawned = ctx.try_spawn_boxed(
         tid,
         marcel::thread::flags::DETACHED,
         Box::new(move || f(args)),
-    )
-    .expect("spawning thread");
+    );
+    if let Err(e) = spawned {
+        let text = format!("rpc_spawn: dropped service {service:#x}: {e}");
+        ctx.out.printf(ctx.node, &text);
+    }
 }
 
 pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {

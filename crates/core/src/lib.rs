@@ -200,13 +200,29 @@
 //! queueing counts and saturation cannot hide behind coordinated
 //! omission — and an IC-suite-style controller gates every round on
 //! failure-rate and p99 SLOs; the last passing round is the machine's
-//! max sustainable RPS.  The host side of that loop is
-//! [`Machine::stats_reset`] + the per-node snapshots
-//! ([`Machine::node_stats`] / [`Machine::pool_stats`]), which let each
-//! round report machine counters as plain deltas — the capacity report
-//! says *why* a round saturated (steps, parks, spawns, trains, trades,
-//! pool churn), not just that it did.  `BENCH_throughput.json` tracks
-//! the resulting trajectory for two mixes at p = 4 and p = 8.
+//! max sustainable RPS.  The host side of that loop is the per-node
+//! snapshots ([`Machine::node_stats`] / [`Machine::pool_stats`]), summed
+//! over nodes and differenced across each round (see *Observability*
+//! below) — the capacity report says *why* a round saturated (steps,
+//! parks, spawns, trains, trades, pool churn), not just that it did.
+//! `BENCH_throughput.json` tracks the resulting trajectory for two mixes
+//! at p = 4 and p = 8.
+//!
+//! ## Observability
+//!
+//! Each layer counts its own events in a live struct of atomics that the
+//! host reads while nodes run: [`node::NodeStats`] (runtime: migration
+//! stages, trades, negotiations, driver steps and parks, RPC locality),
+//! `isoaddr::SlotStats` (slot economy), `madeleine::EndpointStats`
+//! (wire traffic, chaos events) and the payload pool's counters.  Each
+//! is declared once through the `counters::counters!` macro, which
+//! generates the live struct, its `Copy` snapshot, `snapshot()`, a
+//! field-wise `since(&earlier)` and `Add`/`Sum` for totalling nodes.
+//! Counters are monotonic and nothing resets them: a measurement window
+//! is two snapshots and a subtraction, so concurrent readers never
+//! disturb each other.  The host reads them through
+//! [`Machine::node_stats`], [`Machine::slot_stats`],
+//! [`Machine::net_stats`] and [`Machine::pool_stats`].
 //!
 //! ## The multiplexed executor: p = 256 nodes on N cores
 //!
@@ -272,8 +288,7 @@
 //!   descriptor (space-saving counters: hot peers are exact, the tail
 //!   over-estimates, never under).  The table rides the descriptor
 //!   through migration verbatim, and each node tallies
-//!   `rpc_local`/`rpc_remote` (`NodeStatsSnapshot::remote_ratio`) with
-//!   a host-side aggregate per peer (`Machine::affinity`);
+//!   `rpc_local`/`rpc_remote` (`NodeStatsSnapshot::remote_ratio`);
 //! * **planning** — `LOAD_RESP` piggybacks each migratable thread's
 //!   hottest edges plus its pack-cost hint, and the planner scores a
 //!   candidate move by `(remote_msgs_saved − local_msgs_broken)` per
@@ -367,4 +382,6 @@ mod tests;
 // Re-export the substrate types an embedder is likely to need.
 pub use isoaddr::{AreaConfig, Distribution, MapStrategy};
 pub use isomalloc::FitPolicy;
-pub use madeleine::{BufPool, BufPoolStats, FaultPlan, NetProfile, Payload, Wire};
+pub use madeleine::{
+    BufPool, BufPoolStats, EndpointStatsSnapshot, FaultPlan, NetProfile, Payload, Wire,
+};

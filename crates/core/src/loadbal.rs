@@ -160,62 +160,6 @@ impl Default for BalancerConfig {
     }
 }
 
-impl BalancerConfig {
-    /// Set the poll period.
-    pub fn with_period(mut self, period: Duration) -> Self {
-        self.period = period;
-        self
-    }
-
-    /// Set the overload threshold.
-    pub fn with_threshold(mut self, threshold: usize) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Set the per-round move budget.
-    pub fn with_max_moves(mut self, max_moves_per_round: usize) -> Self {
-        self.max_moves_per_round = max_moves_per_round;
-        self
-    }
-
-    /// Set the per-round time budget.
-    pub fn with_round_deadline(mut self, round_deadline: Duration) -> Self {
-        self.round_deadline = round_deadline;
-        self
-    }
-
-    /// Set the probe-sample size (0 = auto, see [`BalancerConfig::sample`]).
-    pub fn with_sample(mut self, sample: usize) -> Self {
-        self.sample = sample;
-        self
-    }
-
-    /// Enable or disable the affinity pass.
-    pub fn with_affinity(mut self, affinity: bool) -> Self {
-        self.affinity = affinity;
-        self
-    }
-
-    /// Set the per-epoch affinity decay shift.
-    pub fn with_aff_decay_shift(mut self, shift: u32) -> Self {
-        self.aff_decay_shift = shift;
-        self
-    }
-
-    /// Set the post-migration cooldown, in epochs.
-    pub fn with_aff_cooldown(mut self, epochs: u32) -> Self {
-        self.aff_cooldown = epochs;
-        self
-    }
-
-    /// Set the minimum net score for an affinity move.
-    pub fn with_aff_min_score(mut self, score: i64) -> Self {
-        self.aff_min_score = score;
-        self
-    }
-}
-
 /// Handle to stop the balancer daemon.
 pub struct BalancerHandle {
     stop: Arc<AtomicBool>,
@@ -740,7 +684,10 @@ mod tests {
     fn planner_cold_heap_beats_hot_heap_when_equally_chatty() {
         // Two equally chatty threads, one with a 100× cheaper train; a
         // budget of 1 must pick the cold-heap one.
-        let cfg = BalancerConfig::default().with_max_moves(1);
+        let cfg = BalancerConfig {
+            max_moves_per_round: 1,
+            ..BalancerConfig::default()
+        };
         let mut loads = vec![
             load(
                 0,
@@ -856,7 +803,10 @@ mod tests {
 
     #[test]
     fn planner_affinity_off_is_the_pure_load_baseline() {
-        let cfg = BalancerConfig::default().with_affinity(false);
+        let cfg = BalancerConfig {
+            affinity: false,
+            ..BalancerConfig::default()
+        };
         let mut loads = vec![
             load(0, 3, vec![7], vec![edge(7, 4096, u32::MAX, vec![(1, 40)])]),
             load(1, 3, vec![], vec![]),

@@ -124,9 +124,6 @@ pub struct Machine {
     node_stats: Vec<Arc<NodeStats>>,
     /// Per-node wealth hint tables (last-known free-slot count per peer).
     wealth: Vec<Arc<Vec<AtomicU64>>>,
-    /// Per-node communication-affinity rows (cumulative RPC-shaped
-    /// messages exchanged with each peer, self included).
-    affinity: Vec<Arc<Vec<AtomicU64>>>,
     /// Cheap-clone handles on each node's payload pool (observability).
     pools: Vec<madeleine::BufPool>,
     drivers: Vec<std::thread::JoinHandle<()>>,
@@ -224,7 +221,6 @@ impl Machine {
         let slot_stats = ctxs.iter().map(|c| c.mgr.stats()).collect();
         let node_stats = ctxs.iter().map(|c| Arc::clone(&c.stats)).collect();
         let wealth = ctxs.iter().map(|c| Arc::clone(&c.peer_wealth)).collect();
-        let affinity = ctxs.iter().map(|c| Arc::clone(&c.affinity)).collect();
         let pools = ctxs.iter().map(|c| c.pool.clone()).collect();
 
         // Deterministic mode: one worker stepping one node per dispatch,
@@ -248,7 +244,6 @@ impl Machine {
             slot_stats,
             node_stats,
             wealth,
-            affinity,
             pools,
             drivers,
             n_workers,
@@ -355,10 +350,15 @@ impl Machine {
 
     /// Spawn a registered byte-level service on `node` from the host
     /// (fire and forget — PM2's original LRPC).  The service thread is
-    /// detached: joining its tid is unsupported.
+    /// detached: joining its tid is unsupported.  An id no
+    /// [`Machine::register_service`] call registered is
+    /// [`Pm2Error::NoSuchService`].
     pub fn rpc_spawn(&self, node: usize, service: u32, args: &[u8]) -> Result<()> {
         if node >= self.cfg.nodes {
             return Err(Pm2Error::NoSuchNode(node));
+        }
+        if self.services.get(service).is_none() {
+            return Err(Pm2Error::NoSuchService(service));
         }
         self.host_ep.send(
             node,
@@ -498,35 +498,6 @@ impl Machine {
     /// Runtime statistics of `node`.
     pub fn node_stats(&self, node: usize) -> NodeStatsSnapshot {
         self.node_stats[node].snapshot()
-    }
-
-    /// Zero every node's runtime counters ([`NodeStats::reset`]) so the
-    /// next [`Machine::node_stats`] snapshots are per-window, not
-    /// cumulative — what a round-based harness wants between ramp rounds.
-    /// Call near quiescence: a concurrent increment simply lands in the
-    /// new window.  Slot-layer and pool stats are untouched (measure those
-    /// as before/after deltas).
-    pub fn stats_reset(&self) {
-        for s in &self.node_stats {
-            s.reset();
-        }
-        for row in &self.affinity {
-            for a in row.iter() {
-                a.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// `node`'s communication-affinity row: cumulative RPC-shaped
-    /// messages its threads exchanged with every node (index `node`
-    /// itself counts co-located, wire-free traffic).  This is the raw
-    /// material the affinity balancer works from, aggregated per node;
-    /// [`Machine::stats_reset`] zeroes it with the other counters.
-    pub fn affinity(&self, node: usize) -> Vec<u64> {
-        self.affinity[node]
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// `node`'s wealth hint table: its last-known free-slot count for

@@ -125,133 +125,95 @@ const SCAN_CHUNK: usize = 4;
 /// Candidates drawn by the sampled `richest_peer` on large machines.
 const RICH_SAMPLE: usize = 16;
 
-/// Live runtime counters for one node (shared with the host).
-#[derive(Debug, Default)]
-pub struct NodeStats {
-    /// Threads shipped away.
-    pub migrations_out: AtomicU64,
-    /// Threads received.
-    pub migrations_in: AtomicU64,
-    /// Arriving migration record groups rejected as corrupt (NAKed).
-    pub migrations_failed: AtomicU64,
-    /// Migration trains (wire messages) sent; `migrations_out /
-    /// trains_out` is the mean threads-per-message of outgoing traffic.
-    pub trains_out: AtomicU64,
-    /// Migration trains received (counted when ≥ 1 thread adopted).
-    pub trains_in: AtomicU64,
-    /// Total bytes of outgoing migration buffers.
-    pub migration_bytes_out: AtomicU64,
-    /// Nanoseconds spent packing outgoing migrations (freeze & gather),
-    /// including the source-side erase of the surrendered slots.
-    pub migration_pack_ns: AtomicU64,
-    /// Modelled wire nanoseconds charged for arriving migrations.
-    pub migration_wire_ns: AtomicU64,
-    /// Nanoseconds spent unpacking arriving migrations (adopt & copy).
-    pub migration_unpack_ns: AtomicU64,
-    /// Global negotiations initiated by this node (the §4.4 fallback; on
-    /// the trade-first hot path this stays 0).
-    pub negotiations: AtomicU64,
-    /// Total nanoseconds spent in initiated global negotiations.
-    pub negotiation_ns: AtomicU64,
-    /// Demand slot trades initiated by this node (a green thread needed
-    /// slots *now* and asked the richest known peer).
-    pub trades: AtomicU64,
-    /// Total nanoseconds green threads spent in demand trades.
-    pub trade_ns: AtomicU64,
-    /// Slots adopted from peers via trades (demand + prefetch).
-    pub trade_slots_in: AtomicU64,
-    /// Demand trades that could not satisfy the request (refused,
-    /// insufficient, or non-contiguous) and fell back to the global §4.4
-    /// protocol.
-    pub trade_fallbacks: AtomicU64,
-    /// Trade requests this node granted as the lender.
-    pub trade_grants: AtomicU64,
-    /// Trade requests this node refused (frozen, or at its watermark).
-    pub trade_refusals: AtomicU64,
-    /// Asynchronous watermark prefetches sent (reserve below low water).
-    pub prefetches: AtomicU64,
-    /// Prefetches that came back with at least one slot.
-    pub prefetch_fills: AtomicU64,
-    /// Piggybacked wealth hints absorbed (trade/load/ack traffic).
-    pub wealth_updates: AtomicU64,
-    /// Threads spawned here.
-    pub spawns: AtomicU64,
-    /// Checkpoints written to the spill log.
-    pub checkpoints: AtomicU64,
-    /// Thread images written across all checkpoints (supersessions
-    /// included — the log replayer keeps only the newest epoch per tid).
-    pub checkpoint_threads: AtomicU64,
-    /// Scheduling steps the driver executed for this node.
-    pub steps: AtomicU64,
-    /// Times the driver parked on the doorbell with nothing to do.
-    pub driver_parks: AtomicU64,
-    /// Times the driver came back from a park (ring or park-timeout).
-    /// `driver_parks − driver_wakeups ∈ {0, 1}` at any instant; a
-    /// quiescent machine accumulates (almost) none of either beyond the
-    /// initial park.
-    pub driver_wakeups: AtomicU64,
-    /// Messages dropped by the per-(source, class) dedup window — chaos
-    /// duplicates (same fabric seq) caught before they reached a handler.
-    pub dup_dropped: AtomicU64,
-    /// Control-plane retries issued by this node (trade and probe
-    /// re-sends after a lost request or reply).
-    pub ctrl_retries: AtomicU64,
-    /// RPC-shaped messages (calls, spawn requests, replies) this node's
-    /// threads exchanged with co-located peers — self-sends that never
-    /// touch the modelled wire.
-    pub rpc_local: AtomicU64,
-    /// RPC-shaped messages exchanged with remote nodes — each one pays
-    /// the full modelled hop.  `rpc_remote / (rpc_local + rpc_remote)` is
-    /// the remote-message ratio the affinity balancer minimizes.
-    pub rpc_remote: AtomicU64,
-    /// Affinity decay sweeps applied (one per LOAD_REQ-carried balancer
-    /// epoch observed by this node).
-    pub aff_decays: AtomicU64,
-}
-
-/// Plain snapshot of [`NodeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStatsSnapshot {
-    pub migrations_out: u64,
-    pub migrations_in: u64,
-    pub migrations_failed: u64,
-    pub trains_out: u64,
-    pub trains_in: u64,
-    pub migration_bytes_out: u64,
-    /// Per-stage migration cost, summed over this node's participations:
-    /// packing (with the erase of the surrendered slots) is paid by the
-    /// source…
-    pub migration_pack_ns: u64,
-    /// …wire time and unpacking by the destination.
-    pub migration_wire_ns: u64,
-    pub migration_unpack_ns: u64,
-    pub negotiations: u64,
-    pub negotiation_ns: u64,
-    pub trades: u64,
-    pub trade_ns: u64,
-    pub trade_slots_in: u64,
-    pub trade_fallbacks: u64,
-    pub trade_grants: u64,
-    pub trade_refusals: u64,
-    pub prefetches: u64,
-    pub prefetch_fills: u64,
-    pub wealth_updates: u64,
-    pub spawns: u64,
-    pub checkpoints: u64,
-    pub checkpoint_threads: u64,
-    pub steps: u64,
-    pub driver_parks: u64,
-    pub driver_wakeups: u64,
-    /// Chaos duplicates dropped by the dedup window.
-    pub dup_dropped: u64,
-    /// Control-plane retries issued (trade/probe re-sends).
-    pub ctrl_retries: u64,
-    /// RPC-shaped messages exchanged with co-located threads (free).
-    pub rpc_local: u64,
-    /// RPC-shaped messages exchanged with remote nodes (pay the wire).
-    pub rpc_remote: u64,
-    /// Affinity decay sweeps applied.
-    pub aff_decays: u64,
+counters::counters! {
+    /// Live runtime counters for one node (shared with the host).  Every
+    /// counter only grows; a window is two [`NodeStats::snapshot`]s and
+    /// [`NodeStatsSnapshot::since`].
+    pub struct NodeStats;
+    /// Plain snapshot of [`NodeStats`].
+    pub struct NodeStatsSnapshot {
+        /// Threads shipped away.
+        migrations_out,
+        /// Threads received.
+        migrations_in,
+        /// Arriving migration record groups rejected as corrupt (NAKed).
+        migrations_failed,
+        /// Migration trains (wire messages) sent; `migrations_out /
+        /// trains_out` is the mean threads-per-message of outgoing traffic.
+        trains_out,
+        /// Migration trains received (counted when ≥ 1 thread adopted).
+        trains_in,
+        /// Total bytes of outgoing migration buffers.
+        migration_bytes_out,
+        /// Per-stage migration cost, summed over this node's
+        /// participations: nanoseconds the source spent packing outgoing
+        /// migrations (freeze & gather), including the erase of the
+        /// surrendered slots…
+        migration_pack_ns,
+        /// …modelled wire nanoseconds the destination was charged…
+        migration_wire_ns,
+        /// …and nanoseconds it spent unpacking (adopt & copy).
+        migration_unpack_ns,
+        /// Global negotiations initiated by this node (the §4.4 fallback;
+        /// on the trade-first hot path this stays 0).
+        negotiations,
+        /// Total nanoseconds spent in initiated global negotiations.
+        negotiation_ns,
+        /// Demand slot trades initiated by this node (a green thread
+        /// needed slots *now* and asked the richest known peer).
+        trades,
+        /// Total nanoseconds green threads spent in demand trades.
+        trade_ns,
+        /// Slots adopted from peers via trades (demand + prefetch).
+        trade_slots_in,
+        /// Demand trades that could not satisfy the request (refused,
+        /// insufficient, or non-contiguous) and fell back to the global
+        /// §4.4 protocol.
+        trade_fallbacks,
+        /// Trade requests this node granted as the lender.
+        trade_grants,
+        /// Trade requests this node refused (frozen, or at its watermark).
+        trade_refusals,
+        /// Asynchronous watermark prefetches sent (reserve below low water).
+        prefetches,
+        /// Prefetches that came back with at least one slot.
+        prefetch_fills,
+        /// Piggybacked wealth hints absorbed (trade/load/ack traffic).
+        wealth_updates,
+        /// Threads spawned here.
+        spawns,
+        /// Checkpoints written to the spill log.
+        checkpoints,
+        /// Thread images written across all checkpoints (supersessions
+        /// included — the log replayer keeps only the newest epoch per tid).
+        checkpoint_threads,
+        /// Scheduling steps the driver executed for this node.
+        steps,
+        /// Times the driver parked on the doorbell with nothing to do.
+        driver_parks,
+        /// Times the driver came back from a park (ring or park-timeout).
+        /// `driver_parks − driver_wakeups ∈ {0, 1}` at any instant; a
+        /// quiescent machine accumulates (almost) none of either beyond the
+        /// initial park.
+        driver_wakeups,
+        /// Messages dropped by the per-(source, class) dedup window — chaos
+        /// duplicates (same fabric seq) caught before they reached a handler.
+        dup_dropped,
+        /// Control-plane retries issued by this node (trade and probe
+        /// re-sends after a lost request or reply).
+        ctrl_retries,
+        /// RPC-shaped messages (calls, spawn requests, replies) this node's
+        /// threads exchanged with co-located peers — self-sends that never
+        /// touch the modelled wire.
+        rpc_local,
+        /// RPC-shaped messages exchanged with remote nodes — each one pays
+        /// the full modelled hop.  `rpc_remote / (rpc_local + rpc_remote)`
+        /// is the remote-message ratio the affinity balancer minimizes.
+        rpc_remote,
+        /// Affinity decay sweeps applied (one per LOAD_REQ-carried balancer
+        /// epoch observed by this node).
+        aff_decays,
+    }
 }
 
 impl NodeStatsSnapshot {
@@ -272,84 +234,6 @@ impl NodeStatsSnapshot {
             return 0.0;
         }
         self.rpc_remote as f64 / total as f64
-    }
-}
-
-impl NodeStats {
-    /// Zero every counter.  Intended for round-based measurement (the
-    /// workload harness resets between ramp rounds so each round reports
-    /// its own counters, not cumulative ones); call it near quiescence —
-    /// a node mid-increment is harmless (the increment lands in the next
-    /// window) but the fields are not reset as one atomic unit.
-    pub fn reset(&self) {
-        self.migrations_out.store(0, Ordering::Relaxed);
-        self.migrations_in.store(0, Ordering::Relaxed);
-        self.migrations_failed.store(0, Ordering::Relaxed);
-        self.trains_out.store(0, Ordering::Relaxed);
-        self.trains_in.store(0, Ordering::Relaxed);
-        self.migration_bytes_out.store(0, Ordering::Relaxed);
-        self.migration_pack_ns.store(0, Ordering::Relaxed);
-        self.migration_wire_ns.store(0, Ordering::Relaxed);
-        self.migration_unpack_ns.store(0, Ordering::Relaxed);
-        self.negotiations.store(0, Ordering::Relaxed);
-        self.negotiation_ns.store(0, Ordering::Relaxed);
-        self.trades.store(0, Ordering::Relaxed);
-        self.trade_ns.store(0, Ordering::Relaxed);
-        self.trade_slots_in.store(0, Ordering::Relaxed);
-        self.trade_fallbacks.store(0, Ordering::Relaxed);
-        self.trade_grants.store(0, Ordering::Relaxed);
-        self.trade_refusals.store(0, Ordering::Relaxed);
-        self.prefetches.store(0, Ordering::Relaxed);
-        self.prefetch_fills.store(0, Ordering::Relaxed);
-        self.wealth_updates.store(0, Ordering::Relaxed);
-        self.spawns.store(0, Ordering::Relaxed);
-        self.checkpoints.store(0, Ordering::Relaxed);
-        self.checkpoint_threads.store(0, Ordering::Relaxed);
-        self.steps.store(0, Ordering::Relaxed);
-        self.driver_parks.store(0, Ordering::Relaxed);
-        self.driver_wakeups.store(0, Ordering::Relaxed);
-        self.dup_dropped.store(0, Ordering::Relaxed);
-        self.ctrl_retries.store(0, Ordering::Relaxed);
-        self.rpc_local.store(0, Ordering::Relaxed);
-        self.rpc_remote.store(0, Ordering::Relaxed);
-        self.aff_decays.store(0, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy.
-    pub fn snapshot(&self) -> NodeStatsSnapshot {
-        NodeStatsSnapshot {
-            migrations_out: self.migrations_out.load(Ordering::Relaxed),
-            migrations_in: self.migrations_in.load(Ordering::Relaxed),
-            migrations_failed: self.migrations_failed.load(Ordering::Relaxed),
-            trains_out: self.trains_out.load(Ordering::Relaxed),
-            trains_in: self.trains_in.load(Ordering::Relaxed),
-            migration_bytes_out: self.migration_bytes_out.load(Ordering::Relaxed),
-            migration_pack_ns: self.migration_pack_ns.load(Ordering::Relaxed),
-            migration_wire_ns: self.migration_wire_ns.load(Ordering::Relaxed),
-            migration_unpack_ns: self.migration_unpack_ns.load(Ordering::Relaxed),
-            negotiations: self.negotiations.load(Ordering::Relaxed),
-            negotiation_ns: self.negotiation_ns.load(Ordering::Relaxed),
-            trades: self.trades.load(Ordering::Relaxed),
-            trade_ns: self.trade_ns.load(Ordering::Relaxed),
-            trade_slots_in: self.trade_slots_in.load(Ordering::Relaxed),
-            trade_fallbacks: self.trade_fallbacks.load(Ordering::Relaxed),
-            trade_grants: self.trade_grants.load(Ordering::Relaxed),
-            trade_refusals: self.trade_refusals.load(Ordering::Relaxed),
-            prefetches: self.prefetches.load(Ordering::Relaxed),
-            prefetch_fills: self.prefetch_fills.load(Ordering::Relaxed),
-            wealth_updates: self.wealth_updates.load(Ordering::Relaxed),
-            spawns: self.spawns.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            checkpoint_threads: self.checkpoint_threads.load(Ordering::Relaxed),
-            steps: self.steps.load(Ordering::Relaxed),
-            driver_parks: self.driver_parks.load(Ordering::Relaxed),
-            driver_wakeups: self.driver_wakeups.load(Ordering::Relaxed),
-            dup_dropped: self.dup_dropped.load(Ordering::Relaxed),
-            ctrl_retries: self.ctrl_retries.load(Ordering::Relaxed),
-            rpc_local: self.rpc_local.load(Ordering::Relaxed),
-            rpc_remote: self.rpc_remote.load(Ordering::Relaxed),
-            aff_decays: self.aff_decays.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -411,11 +295,6 @@ pub(crate) struct NodeCtx {
     /// Last-known free-slot counts per node, refreshed by every
     /// piggybacked wealth hint (shared with the host for observability).
     pub peer_wealth: Arc<Vec<AtomicU64>>,
-    /// Cumulative RPC-shaped messages this node's threads exchanged with
-    /// each peer node (self included at `[node]`) — the node-level
-    /// communication-affinity row, shared with the host for
-    /// [`crate::machine::Machine::affinity`].
-    pub affinity: Arc<Vec<AtomicU64>>,
     /// When each peer's gossiped load/wealth entry was last refreshed
     /// (None = never heard).  A balancer probe younger than one heartbeat
     /// interval reuses this instead of a LOAD_REQ round trip.
@@ -635,7 +514,6 @@ impl NodeCtx {
             negotiating: false,
             neg_waiters: VecDeque::new(),
             peer_wealth,
-            affinity: Arc::new((0..cfg.nodes).map(|_| AtomicU64::new(0)).collect()),
             hint_at: vec![None; cfg.nodes],
             prefetch_pending: HashSet::new(),
             prefetch_inflight: None,
@@ -698,11 +576,8 @@ impl NodeCtx {
     }
 
     /// Account one RPC-shaped message exchanged with `peer` in the
-    /// node-level affinity row and the local/remote stats counters.
+    /// local/remote stats counters.
     pub(crate) fn note_traffic(&mut self, peer: usize) {
-        if let Some(a) = self.affinity.get(peer) {
-            a.fetch_add(1, Ordering::Relaxed);
-        }
         if peer == self.node {
             self.stats.rpc_local.fetch_add(1, Ordering::Relaxed);
         } else {

@@ -186,24 +186,6 @@ impl Registry {
         }
     }
 
-    /// Block the calling *host* thread until `tid` completes, copying
-    /// nothing; `true` on completion, `false` on timeout.  Pair with
-    /// [`Registry::take_typed_exit`] for the record.
-    pub fn wait_completed(&self, tid: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut done = self.done.lock().unwrap();
-        loop {
-            if done.contains_key(&tid) {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            done = self.cv.wait_timeout(done, deadline - now).unwrap().0;
-        }
-    }
-
     /// Number of recorded completions.
     pub fn completed_count(&self) -> usize {
         self.done.lock().unwrap().len()

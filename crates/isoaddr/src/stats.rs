@@ -1,39 +1,43 @@
 //! Slot-layer statistics.
 //!
 //! Counters are atomics so that the host (bench harness, audits) can read
-//! them while node schedulers are running.  Every counter is monotonically
-//! increasing; derive rates by snapshotting twice.
+//! them while node schedulers are running.  Every counter only grows and
+//! nothing resets them: a measurement window is two snapshots and
+//! [`SlotStatsSnapshot::since`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared, live statistics for one node's slot manager.
-#[derive(Debug, Default)]
-pub struct SlotStats {
-    /// Single-slot acquisitions satisfied from the local bitmap.
-    pub local_acquires: AtomicU64,
-    /// Multi-slot (contiguous) acquisitions satisfied locally.
-    pub multi_acquires: AtomicU64,
-    /// Acquisitions that had to report "negotiation required".
-    pub negotiation_required: AtomicU64,
-    /// Slot releases (ownership returned to this node).
-    pub releases: AtomicU64,
-    /// Single-slot acquisitions served by the mmapped-slot cache (no mmap).
-    pub cache_hits: AtomicU64,
-    /// Single-slot acquisitions that had to mmap.
-    pub cache_misses: AtomicU64,
-    /// Slots this node sold to other nodes during negotiations.
-    pub slots_sold: AtomicU64,
-    /// Slots this node bought from other nodes during negotiations.
-    pub slots_bought: AtomicU64,
-    /// Slots this node lent to peers through point-to-point slot trades.
-    pub slots_lent: AtomicU64,
-    /// Slots this node adopted from peers through slot trades.
-    pub slots_adopted: AtomicU64,
-    /// mmap (commit) calls issued.
-    pub commits: AtomicU64,
-    /// munmap-equivalent (decommit) calls issued.
-    pub decommits: AtomicU64,
+counters::counters! {
+    /// Shared, live statistics for one node's slot manager.
+    pub struct SlotStats;
+    /// Plain-data snapshot of [`SlotStats`].
+    pub struct SlotStatsSnapshot {
+        /// Single-slot acquisitions satisfied from the local bitmap.
+        local_acquires,
+        /// Multi-slot (contiguous) acquisitions satisfied locally.
+        multi_acquires,
+        /// Acquisitions that had to report "negotiation required".
+        negotiation_required,
+        /// Slot releases (ownership returned to this node).
+        releases,
+        /// Single-slot acquisitions served by the mmapped-slot cache (no mmap).
+        cache_hits,
+        /// Single-slot acquisitions that had to mmap.
+        cache_misses,
+        /// Slots this node sold to other nodes during negotiations.
+        slots_sold,
+        /// Slots this node bought from other nodes during negotiations.
+        slots_bought,
+        /// Slots this node lent to peers through point-to-point slot trades.
+        slots_lent,
+        /// Slots this node adopted from peers through slot trades.
+        slots_adopted,
+        /// mmap (commit) calls issued.
+        commits,
+        /// munmap-equivalent (decommit) calls issued.
+        decommits,
+    }
 }
 
 impl SlotStats {
@@ -51,41 +55,6 @@ impl SlotStats {
     pub(crate) fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// Point-in-time copy of all counters.
-    pub fn snapshot(&self) -> SlotStatsSnapshot {
-        SlotStatsSnapshot {
-            local_acquires: self.local_acquires.load(Ordering::Relaxed),
-            multi_acquires: self.multi_acquires.load(Ordering::Relaxed),
-            negotiation_required: self.negotiation_required.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            slots_sold: self.slots_sold.load(Ordering::Relaxed),
-            slots_bought: self.slots_bought.load(Ordering::Relaxed),
-            slots_lent: self.slots_lent.load(Ordering::Relaxed),
-            slots_adopted: self.slots_adopted.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            decommits: self.decommits.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`SlotStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlotStatsSnapshot {
-    pub local_acquires: u64,
-    pub multi_acquires: u64,
-    pub negotiation_required: u64,
-    pub releases: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub slots_sold: u64,
-    pub slots_bought: u64,
-    pub slots_lent: u64,
-    pub slots_adopted: u64,
-    pub commits: u64,
-    pub decommits: u64,
 }
 
 impl std::fmt::Display for SlotStatsSnapshot {

@@ -38,7 +38,7 @@
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, Weak};
 
 /// One pooled backing buffer.  The `UnsafeCell` is what lets the pool hand
@@ -59,14 +59,6 @@ struct Slab {
 unsafe impl Send for Slab {}
 unsafe impl Sync for Slab {}
 
-#[derive(Debug, Default)]
-struct PoolCounters {
-    checkouts: AtomicU64,
-    reuses: AtomicU64,
-    allocs: AtomicU64,
-    recycles: AtomicU64,
-}
-
 struct PoolShared {
     free: Mutex<Vec<Arc<Slab>>>,
     /// Free-list capacity: beyond this, returning buffers are simply freed
@@ -75,17 +67,20 @@ struct PoolShared {
     counters: PoolCounters,
 }
 
-/// Point-in-time counters of a [`BufPool`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BufPoolStats {
-    /// Total `checkout` calls.
-    pub checkouts: u64,
-    /// Checkouts served from the free list (no allocation).
-    pub reuses: u64,
-    /// Checkouts that had to allocate a fresh buffer.
-    pub allocs: u64,
-    /// Buffers returned to the free list by payload drops.
-    pub recycles: u64,
+counters::counters! {
+    /// Live counters of one pool.
+    struct PoolCounters;
+    /// Point-in-time counters of a [`BufPool`].
+    pub struct BufPoolStats {
+        /// Total `checkout` calls.
+        checkouts,
+        /// Checkouts served from the free list (no allocation).
+        reuses,
+        /// Checkouts that had to allocate a fresh buffer.
+        allocs,
+        /// Buffers returned to the free list by payload drops.
+        recycles,
+    }
 }
 
 /// A free list of reusable payload buffers, cheaply clonable (`Arc` handle).
@@ -164,13 +159,7 @@ impl BufPool {
 
     /// Counter snapshot.
     pub fn stats(&self) -> BufPoolStats {
-        let c = &self.shared.counters;
-        BufPoolStats {
-            checkouts: c.checkouts.load(Ordering::Relaxed),
-            reuses: c.reuses.load(Ordering::Relaxed),
-            allocs: c.allocs.load(Ordering::Relaxed),
-            recycles: c.recycles.load(Ordering::Relaxed),
-        }
+        self.shared.counters.snapshot()
     }
 }
 

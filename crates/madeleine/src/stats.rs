@@ -1,39 +1,43 @@
 //! Per-endpoint traffic statistics.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Live atomic counters for one endpoint.
-#[derive(Debug, Default)]
-pub struct EndpointStats {
-    /// Messages sent.
-    pub msgs_sent: AtomicU64,
-    /// Payload bytes sent.
-    pub bytes_sent: AtomicU64,
-    /// Messages received.
-    pub msgs_recv: AtomicU64,
-    /// Payload bytes received.
-    pub bytes_recv: AtomicU64,
-    /// Modelled wire nanoseconds charged at this receiver.
-    pub wire_ns: AtomicU64,
-    /// Messages sent through [`crate::Endpoint::send_batched`] — wire
-    /// messages that carry a *train* of logical items (e.g. k migrating
-    /// threads) instead of one item per message.
-    pub batch_msgs_sent: AtomicU64,
-    /// Total logical items carried by those batched messages.  The ratio
-    /// `batch_items_sent / batch_msgs_sent` is the mean train length
-    /// (threads per message, for the migration path).
-    pub batch_items_sent: AtomicU64,
-    /// Chaos: messages dropped by the fault plan on this sender.
-    pub chaos_dropped: AtomicU64,
-    /// Chaos: messages duplicated (the extra copy reuses the original's
-    /// seq, so receiver dedup windows see it).
-    pub chaos_duplicated: AtomicU64,
-    /// Chaos: messages given extra modelled wire delay.
-    pub chaos_delayed: AtomicU64,
-    /// Chaos: messages parked in a link's holdback slot (reordered).
-    pub chaos_held: AtomicU64,
-    /// Messages eaten by a partition cut (runtime or scheduled window).
-    pub chaos_cut: AtomicU64,
+counters::counters! {
+    /// Live atomic counters for one endpoint.
+    pub struct EndpointStats;
+    /// Plain-data snapshot of [`EndpointStats`].
+    pub struct EndpointStatsSnapshot {
+        /// Messages sent.
+        msgs_sent,
+        /// Payload bytes sent.
+        bytes_sent,
+        /// Messages received.
+        msgs_recv,
+        /// Payload bytes received.
+        bytes_recv,
+        /// Modelled wire nanoseconds charged at this receiver (paid
+        /// dequeuing: the wire model is receiver-clocked).
+        wire_ns,
+        /// Messages sent through [`crate::Endpoint::send_batched`] — wire
+        /// messages that carry a *train* of logical items (e.g. k migrating
+        /// threads) instead of one item per message.
+        batch_msgs_sent,
+        /// Total logical items carried by those batched messages.  The ratio
+        /// `batch_items_sent / batch_msgs_sent` is the mean train length
+        /// (threads per message, for the migration path).
+        batch_items_sent,
+        /// Chaos: messages dropped by the fault plan on this sender.
+        chaos_dropped,
+        /// Chaos: messages duplicated (the extra copy reuses the original's
+        /// seq, so receiver dedup windows see it).
+        chaos_duplicated,
+        /// Chaos: messages given extra modelled wire delay.
+        chaos_delayed,
+        /// Chaos: messages parked in a link's holdback slot (reordered).
+        chaos_held,
+        /// Messages eaten by a partition cut (runtime or scheduled window).
+        chaos_cut,
+    }
 }
 
 impl EndpointStats {
@@ -73,60 +77,9 @@ impl EndpointStats {
     pub(crate) fn on_chaos_cut(&self) {
         self.chaos_cut.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Point-in-time copy.
-    pub fn snapshot(&self) -> EndpointStatsSnapshot {
-        EndpointStatsSnapshot {
-            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            msgs_recv: self.msgs_recv.load(Ordering::Relaxed),
-            bytes_recv: self.bytes_recv.load(Ordering::Relaxed),
-            wire_ns: self.wire_ns.load(Ordering::Relaxed),
-            batch_msgs_sent: self.batch_msgs_sent.load(Ordering::Relaxed),
-            batch_items_sent: self.batch_items_sent.load(Ordering::Relaxed),
-            chaos_dropped: self.chaos_dropped.load(Ordering::Relaxed),
-            chaos_duplicated: self.chaos_duplicated.load(Ordering::Relaxed),
-            chaos_delayed: self.chaos_delayed.load(Ordering::Relaxed),
-            chaos_held: self.chaos_held.load(Ordering::Relaxed),
-            chaos_cut: self.chaos_cut.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`EndpointStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EndpointStatsSnapshot {
-    pub msgs_sent: u64,
-    pub bytes_sent: u64,
-    pub msgs_recv: u64,
-    pub bytes_recv: u64,
-    /// Modelled wire nanoseconds paid dequeuing (receiver-clocked model).
-    pub wire_ns: u64,
-    /// Batched (multi-item) messages sent — see [`EndpointStats`].
-    pub batch_msgs_sent: u64,
-    /// Logical items carried by batched messages.
-    pub batch_items_sent: u64,
-    /// Chaos: messages dropped by the fault plan on this sender.
-    pub chaos_dropped: u64,
-    /// Chaos: messages duplicated (same-seq extra copy).
-    pub chaos_duplicated: u64,
-    /// Chaos: messages given extra modelled wire delay.
-    pub chaos_delayed: u64,
-    /// Chaos: messages held back one slot (reordered).
-    pub chaos_held: u64,
-    /// Messages eaten by a partition cut.
-    pub chaos_cut: u64,
 }
 
 impl EndpointStatsSnapshot {
-    /// Total fault events this sender injected (cuts included).
-    pub fn chaos_events(&self) -> u64 {
-        self.chaos_dropped
-            + self.chaos_duplicated
-            + self.chaos_delayed
-            + self.chaos_held
-            + self.chaos_cut
-    }
     /// Mean logical items per batched message (1.0 when none were sent):
     /// for the migration path, the observed threads-per-message train
     /// length.

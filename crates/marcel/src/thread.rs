@@ -180,12 +180,6 @@ pub fn desc_addr(base: VAddr) -> VAddr {
     base + DESC_OFFSET
 }
 
-/// Stack-slot base for a descriptor address.
-#[inline]
-pub fn base_of_desc(desc: VAddr) -> VAddr {
-    desc - DESC_OFFSET
-}
-
 impl ThreadDescriptor {
     /// Typed view of a descriptor address.
     ///

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm2::api::pm2_yield;
-use pm2::{Machine, RecoveryReport};
+use pm2::{EndpointStatsSnapshot, Machine, RecoveryReport};
 
 use crate::driver::{run_gated_round, RoundReport};
 use crate::ramp::RampConfig;
@@ -263,20 +263,18 @@ pub fn run_partition(
 
     let baseline = run_gated_round(m, &spec, cfg, rps, 0, injectors);
 
-    let cut_before: u64 = (0..m.nodes())
-        .filter_map(|n| m.net_stats(n))
-        .map(|s| s.chaos_cut)
-        .sum();
+    let net = || {
+        (0..m.nodes())
+            .filter_map(|n| m.net_stats(n))
+            .sum::<EndpointStatsSnapshot>()
+    };
+    let net_before = net();
     let t0 = Instant::now();
     m.partition_nodes(a, b);
     std::thread::sleep(window);
     m.heal_partition();
     let partition_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let messages_cut = (0..m.nodes())
-        .filter_map(|n| m.net_stats(n))
-        .map(|s| s.chaos_cut)
-        .sum::<u64>()
-        .saturating_sub(cut_before);
+    let messages_cut = net().since(&net_before).chaos_cut;
     let false_deaths = (0..m.nodes()).filter(|&n| m.is_node_dead(n)).count();
 
     // Re-convergence: gossip (one digest per heartbeat period per node)

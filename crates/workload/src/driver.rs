@@ -33,7 +33,8 @@ use pm2::api::{
     pm2_group_migrate, pm2_isofree, pm2_isomalloc, pm2_join, pm2_migrate, pm2_nodes, pm2_rpc_call,
     pm2_self, pm2_thread_create, pm2_yield,
 };
-use pm2::{Machine, Service};
+use pm2::node::NodeStatsSnapshot;
+use pm2::{BufPoolStats, Machine, Service};
 use testkit::StdRng;
 
 use crate::hist::LogHistogram;
@@ -59,69 +60,11 @@ pub fn register_services(m: &Machine) {
     m.register(Echo);
 }
 
-/// Machine-side counters for one round (summed over nodes, after a
-/// [`Machine::stats_reset`] at round start) — the "why did it saturate"
-/// half of the report.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MachineCounters {
-    /// Scheduling steps the drivers executed.
-    pub steps: u64,
-    /// Doorbell parks (an idle machine parks; a saturated one stops
-    /// parking entirely).
-    pub driver_parks: u64,
-    /// Park wake-ups.
-    pub driver_wakeups: u64,
-    /// Threads spawned (ops, their children, RPC handlers).
-    pub spawns: u64,
-    /// Threads shipped between nodes.
-    pub migrations: u64,
-    /// Migration trains (wire messages) sent.
-    pub trains: u64,
-    /// Demand slot trades.
-    pub trades: u64,
-    /// Trades that fell back to the global §4.4 protocol.
-    pub trade_fallbacks: u64,
-    /// Global negotiations (stop-the-world events).
-    pub negotiations: u64,
-    /// Watermark prefetches.
-    pub prefetches: u64,
-    /// Payload-pool buffer allocations this round (steady state: ~0,
-    /// every message rides a recycled buffer).
-    pub pool_allocs: u64,
-    /// Payload-pool buffer reuses this round.
-    pub pool_reuses: u64,
-}
-
-fn machine_counters(m: &Machine, pool_before: (u64, u64)) -> MachineCounters {
-    let mut c = MachineCounters::default();
-    for n in 0..m.nodes() {
-        let s = m.node_stats(n);
-        c.steps += s.steps;
-        c.driver_parks += s.driver_parks;
-        c.driver_wakeups += s.driver_wakeups;
-        c.spawns += s.spawns;
-        c.migrations += s.migrations_out;
-        c.trains += s.trains_out;
-        c.trades += s.trades;
-        c.trade_fallbacks += s.trade_fallbacks;
-        c.negotiations += s.negotiations;
-        c.prefetches += s.prefetches;
-    }
-    let (allocs, reuses) = pool_totals(m);
-    c.pool_allocs = allocs - pool_before.0;
-    c.pool_reuses = reuses - pool_before.1;
-    c
-}
-
-fn pool_totals(m: &Machine) -> (u64, u64) {
-    let mut allocs = 0;
-    let mut reuses = 0;
-    for n in 0..m.nodes() {
-        let p = m.pool_stats(n);
-        allocs += p.allocs;
-        reuses += p.reuses;
-    }
-    (allocs, reuses)
+/// Node and payload-pool counters summed over the machine's nodes.
+fn totals(m: &Machine) -> (NodeStatsSnapshot, BufPoolStats) {
+    let nodes = 0..m.nodes();
+    let stats = nodes.clone().map(|n| m.node_stats(n)).sum();
+    (stats, nodes.map(|n| m.pool_stats(n)).sum())
 }
 
 /// Everything measured in one ramp round.
@@ -151,8 +94,13 @@ pub struct RoundReport {
     /// Did the machine go quiet (every issued op accounted for) within
     /// the quiet timeout after the round?
     pub quiesced: bool,
-    /// Machine-side counters for the round.
-    pub machine: MachineCounters,
+    /// Node counters over the round, summed over nodes — the "why did
+    /// it saturate" half of the report (steps, parks, spawns, trains,
+    /// trades, negotiations).
+    pub machine: NodeStatsSnapshot,
+    /// Payload-pool counters over the round, summed over nodes (steady
+    /// state: `allocs` ~0, every message rides a recycled buffer).
+    pub pool: BufPoolStats,
     /// The controller's judgement.
     pub verdict: Verdict,
 }
@@ -303,7 +251,8 @@ struct RoundStats {
     timed_out: u64,
     quiesced: bool,
     hist: Arc<LogHistogram>,
-    machine: MachineCounters,
+    machine: NodeStatsSnapshot,
+    pool: BufPoolStats,
 }
 
 /// Issue `rps` ops/s for the configured round duration, drain, and
@@ -318,8 +267,7 @@ fn run_round(
 ) -> RoundStats {
     let nodes = m.nodes();
     let injectors = injectors.max(1);
-    m.stats_reset();
-    let pool_before = pool_totals(m);
+    let (stats_before, pool_before) = totals(m);
 
     let total_ops = ((rps as f64) * cfg.round_duration.as_secs_f64())
         .round()
@@ -391,7 +339,7 @@ fn run_round(
     let ok = counters.ok.load(Ordering::Relaxed);
     let failed = counters.err.load(Ordering::Relaxed);
     let timed_out = issued.saturating_sub(ok + failed);
-    let machine = machine_counters(m, pool_before);
+    let (stats_after, pool_after) = totals(m);
 
     // wait_for_quiet: let stragglers finish before the next round starts,
     // so round n+1's counters are not polluted by round n's tail.
@@ -409,7 +357,8 @@ fn run_round(
         timed_out,
         quiesced,
         hist,
-        machine,
+        machine: stats_after.since(&stats_before),
+        pool: pool_after.since(&pool_before),
     }
 }
 
@@ -443,6 +392,7 @@ fn judge_round(ctl: &mut RampController, rps: u64, s: RoundStats) -> RoundReport
         mean_ms: s.hist.mean_us() / 1e3,
         quiesced: s.quiesced,
         machine: s.machine,
+        pool: s.pool,
         verdict,
     }
 }

@@ -29,9 +29,11 @@
 //!   RPS.
 //! * [`CapacityReport`] — per-round driver measurements joined with
 //!   machine-side counters (scheduler steps, doorbell parks, spawns,
-//!   migrations/trains, slot trades/negotiations, payload-pool churn via
-//!   [`pm2::Machine::stats_reset`] + snapshots) so each round shows *why*
-//!   it saturated, not just that it did.
+//!   migrations/trains, slot trades/negotiations, payload-pool churn) so
+//!   each round shows *why* it saturated, not just that it did.  The
+//!   counters are monotonic; a round's figures are the difference of the
+//!   machine-wide snapshots taken at its start and after its drain
+//!   (`NodeStatsSnapshot::since`, `BufPoolStats::since`).
 //!
 //! ```no_run
 //! use pm2::Machine;
@@ -51,10 +53,7 @@ mod ramp;
 mod spec;
 
 pub use chaos::{run_kill_node, run_partition, ChaosReport, PartitionReport, CHAOS_RESIDENTS};
-pub use driver::{
-    register_services, run_gated_round, run_ramp, CapacityReport, Echo, MachineCounters,
-    RoundReport,
-};
+pub use driver::{register_services, run_gated_round, run_ramp, CapacityReport, Echo, RoundReport};
 pub use hist::{LogHistogram, N_BUCKETS};
 pub use ramp::{RampConfig, RampController, RoundMeasurement, Verdict};
 pub use spec::{OpKind, SampledOp, SizeDist, Targeting, WorkloadSpec};

@@ -213,12 +213,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Builder: replace the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Builder: replace the targeting policy.
     pub fn with_targeting(mut self, t: Targeting) -> Self {
         self.targeting = t;

@@ -57,7 +57,7 @@ fn main() {
             r.p50_ms,
             r.p99_ms,
             r.machine.spawns,
-            r.machine.migrations,
+            r.machine.migrations_out,
             r.machine.trades,
             r.verdict.label()
         );

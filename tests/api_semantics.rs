@@ -1,8 +1,12 @@
 //! API semantics and edge cases: error paths, ownership rules, statistics,
 //! output capture, RPC services, and the legacy registered-pointer scheme.
 
+use std::sync::mpsc;
+use std::time::Duration;
+
 use pm2::api::*;
-use pm2::{Machine, MigrationScheme, NetProfile, Pm2Config};
+use pm2::proto::{encode_rpc_spawn, tag};
+use pm2::{BufPool, Machine, MachineBuilder, MigrationScheme, NetProfile, Pm2Config, Pm2Error};
 
 fn machine(nodes: usize) -> Machine {
     Machine::launch(Pm2Config::test(nodes)).unwrap()
@@ -69,6 +73,58 @@ fn rpc_spawn_from_green_thread() {
         2
     );
     m.shutdown();
+}
+
+/// An `RPC_SPAWN` naming an unregistered service must not take the
+/// serving node down: both senders refuse it with `NoSuchService`, and a
+/// request that reaches a node anyway (injected raw, here also a
+/// malformed one) is dropped with one output line while the node keeps
+/// serving.  The machine lives on a helper thread that reports each step;
+/// every wait is bounded, so a wedged node fails the test instead of
+/// hanging it.
+fn unknown_rpc_spawn_service_leaves_node_serving(builder: MachineBuilder) {
+    const UNKNOWN: u32 = 4242;
+    let (tx, rx) = mpsc::channel::<&'static str>();
+    let helper = std::thread::spawn(move || {
+        let mut m = builder.launch().unwrap();
+        let refused = |r: pm2::Result<()>| matches!(r, Err(Pm2Error::NoSuchService(UNKNOWN)));
+        assert!(refused(m.rpc_spawn(1, UNKNOWN, b"")));
+        assert!(refused(
+            m.run_on(0, || pm2_rpc_spawn(1, UNKNOWN, b"")).unwrap()
+        ));
+        tx.send("refused").unwrap();
+
+        let unknown = encode_rpc_spawn(&BufPool::new(), UNKNOWN, b"").to_vec();
+        m.inject_raw(1, tag::RPC_SPAWN, unknown).unwrap();
+        m.inject_raw(1, tag::RPC_SPAWN, vec![1]).unwrap();
+        assert_eq!(m.run_on(1, pm2_self).unwrap(), 1);
+        let dropped = m.output_lines();
+        assert_eq!(dropped.len(), 2, "{dropped:?}");
+        assert!(dropped
+            .iter()
+            .all(|l| l.starts_with("[node1] rpc_spawn: dropped")));
+        tx.send("run_on").unwrap();
+
+        m.shutdown();
+        tx.send("shutdown").unwrap();
+    });
+    for step in ["refused", "run_on", "shutdown"] {
+        match rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(done) => assert_eq!(done, step),
+            Err(e) => panic!("step `{step}` did not finish: {e:?}"),
+        }
+    }
+    helper.join().expect("helper thread");
+}
+
+#[test]
+fn unknown_rpc_spawn_service_deterministic() {
+    unknown_rpc_spawn_service_leaves_node_serving(Machine::builder(2).test_profile());
+}
+
+#[test]
+fn unknown_rpc_spawn_service_threaded() {
+    unknown_rpc_spawn_service_leaves_node_serving(Machine::builder(2).test_profile().threaded());
 }
 
 #[test]

@@ -207,11 +207,10 @@ fn migration_hops_are_not_poll_bound() {
         elapsed < Duration::from_secs(2),
         "400 hops took {elapsed:?} — driver is poll-bound again"
     );
-    let (s0, s1) = (m.node_stats(0), m.node_stats(1));
+    let parks = (m.node_stats(0) + m.node_stats(1)).driver_parks;
     assert!(
-        s0.driver_parks + s1.driver_parks > 100,
-        "hops should be park/wake cycles, saw {} parks",
-        s0.driver_parks + s1.driver_parks
+        parks > 100,
+        "hops should be park/wake cycles, saw {parks} parks"
     );
     m.shutdown();
 }

@@ -463,8 +463,8 @@ fn pooled_migration_roundtrip_with_heap_verify() {
     // the first few rode a recycled buffer.
     let total_migrations = m.node_stats(0).migrations_out + m.node_stats(1).migrations_out;
     assert_eq!(total_migrations, 24);
-    let allocs: u64 = (0..2).map(|n| m.pool_stats(n).allocs).sum();
-    let reuses: u64 = (0..2).map(|n| m.pool_stats(n).reuses).sum();
+    let pool = m.pool_stats(0) + m.pool_stats(1);
+    let (allocs, reuses) = (pool.allocs, pool.reuses);
     assert!(
         allocs <= 6,
         "steady-state migration must reuse pooled buffers (allocs {allocs}, reuses {reuses})"

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `pm2-workload` capacity harness: a tiny ramp
-//! on a deterministic-mode machine, plus the host-side counter reset the
-//! per-round machine reports depend on.
+//! on a deterministic-mode machine, plus the counter windows the per-round
+//! machine reports depend on.
 
 use std::time::Duration;
 
@@ -79,44 +79,34 @@ fn ramp_issue_counts_replay() {
     assert_eq!(run(), run());
 }
 
-/// `Machine::stats_reset` zeroes every node's counters, so per-round
-/// deltas can be read directly from the snapshots.
+/// Node counters are monotonic: a round's figures are the difference of
+/// two snapshots (`NodeStatsSnapshot::since`), never a reset.  One
+/// `migrate(1); migrate(0)` trip between two snapshots shows exactly one
+/// migration each way on each node, and no counter reads below its
+/// earlier value.
 #[test]
-fn stats_reset_zeroes_node_counters() {
+fn node_counters_window_by_subtraction() {
     let mut m = Machine::launch(Pm2Config::test(2)).unwrap();
+    // Counts from before the window must not leak into it.
+    m.run_on(1, pm2_yield).unwrap();
+    let before: Vec<_> = (0..m.nodes()).map(|n| m.node_stats(n)).collect();
+    assert!(before[1].spawns > 0, "run_on spawns a thread");
+
     m.run_on(0, || {
         pm2_migrate(1).unwrap();
         pm2_migrate(0).unwrap();
     })
     .unwrap();
-
-    let before = m.node_stats(0);
-    assert!(before.spawns > 0, "run_on spawns a thread");
-    assert!(before.steps > 0, "the driver stepped");
-    assert_eq!(before.migrations_out, 1);
-
-    m.stats_reset();
-    for node in 0..m.nodes() {
-        let s = m.node_stats(node);
-        assert_eq!(s.spawns, 0, "node {node} spawns survived reset");
-        assert_eq!(s.steps, 0, "node {node} steps survived reset");
-        assert_eq!(s.migrations_out, 0);
-        assert_eq!(s.migrations_in, 0);
-        assert_eq!(s.trains_out, 0);
-        assert_eq!(s.trades, 0);
-        assert_eq!(s.negotiations, 0);
-        assert_eq!(s.driver_parks, 0);
-        assert_eq!(s.driver_wakeups, 0);
+    for (node, earlier) in before.iter().enumerate() {
+        let now = m.node_stats(node);
+        let window = now.since(earlier);
+        assert_eq!(window.migrations_out, 1, "node {node}");
+        assert_eq!(window.migrations_in, 1, "node {node}");
+        assert_eq!(
+            *earlier + window,
+            now,
+            "node {node}: some counter went backwards"
+        );
     }
-
-    // Counters keep counting after a reset.
-    m.run_on(1, || {
-        pm2_yield();
-    })
-    .unwrap();
-    assert!(
-        m.node_stats(1).spawns > 0,
-        "counters must resume after reset"
-    );
     m.shutdown();
 }
